@@ -29,8 +29,6 @@ from .maps import (
     CellStats,
     CoverageMap,
     CoverageMapBuilder,
-    LocalMaps,
-    merge_local_maps,
     read_beacon_log,
     write_beacon_log,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "CoverageSolution",
     "Decision",
     "FootprintCache",
-    "LocalMaps",
     "MalformedLineError",
     "MetricsSample",
     "NoBeaconError",
@@ -88,7 +85,6 @@ __all__ = [
     "decide",
     "enumerate_solutions",
     "load_city",
-    "merge_local_maps",
     "random_assignment_bounds",
     "read_beacon_log",
     "run",

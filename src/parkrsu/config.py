@@ -117,6 +117,9 @@ class RunConfig:
         parser = configparser.ConfigParser()
         with open(path) as fh:
             parser.read_file(fh, source=str(path))
+        for section_name in parser.sections():
+            if section_name not in _SECTIONS:
+                raise ConfigurationError(f"{path}: unknown section [{section_name}]")
         cfg = cls()
         for section_name, section_cls in _SECTIONS.items():
             if not parser.has_section(section_name):

@@ -2,9 +2,11 @@
 
 A newly parked car (the decision maker) considers the active roadside units
 it can hear, enumerates which of them to keep or revoke together with its
-own candidacy, scores every alternative on four attributes, and picks the
-best. Revocations are capped at two per decision, which keeps the candidate
-set at 1 + n + n(n-1)/2 alternatives for n toggleable entities.
+own candidacy, scores every alternative on four attributes computed over
+the merged coverage maps of the units it keeps active (plus second-hop
+context), and picks the best. Revocations are capped at two per decision,
+which keeps the candidate set at 1 + n + n(n-1)/2 alternatives for n
+toggleable entities.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
 from .grid import Cell
-from .maps import CoverageMap, merge_local_maps
+from .maps import CoverageMap
 
 MAX_REVOCATIONS = 2
 
@@ -156,104 +158,88 @@ def enumerate_solutions(pool: CandidatePool) -> list[CoverageSolution]:
     return solutions
 
 
-def _active_maps(solution: CoverageSolution, pool: CandidatePool) -> list[CoverageMap]:
-    active = set(solution.active)
-    maps = []
-    if pool.maker_id in active:
-        maps.append(pool.maker_map)
-    for n in pool.neighbors:
-        if n.entity_id in active:
-            maps.append(n.coverage)
-    return maps
+def _attribute_step(pool: CandidatePool) -> Callable[[CoverageSolution], SolutionAttributes]:
+    """Build the pool's per-cell tables once; return the per-solution attribute step.
 
+    Scoring merges the maps of a solution's active entities with the
+    second-hop context cell by cell, keeping the best strength class and the
+    contributor count. From that merge:
 
-def attr_signal(solution: CoverageSolution, pool: CandidatePool) -> float:
-    """Mean best strength over the maker's own cells, under this solution.
+    - signal: mean best strength over the maker's own cells. The denominator
+      is the maker's full covered-cell count, so losing service on an own
+      cell drags the average down rather than shrinking it; 1.0 when no own
+      cell keeps service.
+    - saturation: mean contributor count over the own cells, same
+      denominator, same 1.0 floor.
+    - coverage: covered share of every cell any pool map knows about, so the
+      all-active solution always scores 1.0.
+    - battery: mean indicator over the entities kept active, the maker
+      counting 1.0 (it has not served yet); an empty active set is 1.0.
 
-    The denominator is the maker's full covered-cell count, so losing
-    service on an own cell drags the average down rather than shrinking it.
-    Defined as the floor value 1.0 when no own cell keeps service.
+    Integer tallies divided by one denominator keep the arithmetic exact.
+    Raises UndefinedAttributeError when the maker's own map is empty.
     """
-    own = pool.maker_map.cells
-    if not own:
+    own_count = len(pool.maker_map.cells)
+    if own_count == 0:
         raise UndefinedAttributeError("decision maker's coverage map is empty")
-    merged = merge_local_maps(_active_maps(solution, pool) + list(pool.second_hop))
-    total = 0
-    seen = 0
-    for cell in own:
-        s = merged.best_signal.get(cell, 0)
-        if s > 0:
-            total += s
-            seen += 1
-    if seen == 0:
-        return 1.0
-    return total / len(own)
+    index: dict[Cell, int] = {}
+    for m in [pool.maker_map] + [n.coverage for n in pool.neighbors] + list(pool.second_hop):
+        for cell in m.cells:
+            if cell not in index:
+                index[cell] = len(index)
+    n_cells = len(index)
 
-
-def attr_saturation(solution: CoverageSolution, pool: CandidatePool) -> float:
-    """Mean contributor count over the maker's own cells, same denominator."""
-    own = pool.maker_map.cells
-    if not own:
-        raise UndefinedAttributeError("decision maker's coverage map is empty")
-    merged = merge_local_maps(_active_maps(solution, pool) + list(pool.second_hop))
-    total = 0
-    seen = 0
-    for cell in own:
-        c = merged.saturation.get(cell, 0)
-        if c > 0:
-            total += c
-            seen += 1
-    if seen == 0:
-        return 1.0
-    return total / len(own)
-
-
-def attr_coverage(solution: CoverageSolution, pool: CandidatePool) -> float:
-    """Covered share of every cell any pool map knows about.
-
-    The universe is the union over the maker's map, all neighbor maps, and
-    the second-hop context, so the all-active solution always scores 1.0.
-    """
-    universe: set[Cell] = set(pool.maker_map.cells)
-    for n in pool.neighbors:
-        universe.update(n.coverage.cells)
+    rows = [pool.maker_map] + [n.coverage for n in pool.neighbors]
+    strengths = np.zeros((len(rows), n_cells), dtype=np.int16)
+    for i, m in enumerate(rows):
+        for cell, s in m.cells.items():
+            strengths[i, index[cell]] = s
+    hop2_best = np.zeros(n_cells, dtype=np.int16)
+    hop2_count = np.zeros(n_cells, dtype=np.int32)
     for m in pool.second_hop:
-        universe.update(m.cells)
-    if not universe:
-        raise UndefinedAttributeError("no cells known to any map in the pool")
-    covered: set[Cell] = set()
-    for m in _active_maps(solution, pool):
-        covered.update(m.cells)
-    for m in pool.second_hop:
-        covered.update(m.cells)
-    return len(covered) / len(universe)
+        for cell, s in m.cells.items():
+            j = index[cell]
+            if s > hop2_best[j]:
+                hop2_best[j] = s
+            hop2_count[j] += 1
+    own_mask = np.zeros(n_cells, dtype=bool)
+    for cell in pool.maker_map.cells:
+        own_mask[index[cell]] = True
 
-
-def attr_battery(solution: CoverageSolution, pool: CandidatePool) -> float:
-    """Mean battery indicator over the entities the solution keeps active.
-
-    The maker itself counts as 1.0 (it has not served yet). An empty active
-    set is neutral at 1.0.
-    """
-    values = []
-    active = set(solution.active)
-    if pool.maker_id in active:
-        values.append(1.0)
+    ids = [pool.maker_id] + [n.entity_id for n in pool.neighbors]
+    row_of = {eid: i for i, eid in enumerate(ids)}
+    batteries = {pool.maker_id: 1.0}
     for n in pool.neighbors:
-        if n.entity_id in active:
-            values.append(n.battery)
-    if not values:
-        return 1.0
-    return sum(values) / len(values)
+        batteries[n.entity_id] = n.battery
+
+    def attributes(solution: CoverageSolution) -> SolutionAttributes:
+        sel = [row_of[eid] for eid in solution.active]
+        if sel:
+            active_rows = strengths[sel]
+            best = np.maximum(active_rows.max(axis=0), hop2_best)
+            count = (active_rows > 0).sum(axis=0) + hop2_count
+        else:
+            best = hop2_best
+            count = hop2_count
+        covered = count > 0
+        restricted = covered & own_mask
+        if restricted.any():
+            a_sig = int(best[restricted].sum()) / own_count
+            a_sat = int(count[restricted].sum()) / own_count
+        else:
+            a_sig = 1.0
+            a_sat = 1.0
+        a_cov = int(covered.sum()) / n_cells
+        kept = [batteries[eid] for eid in solution.active]
+        a_bat = sum(kept) / len(kept) if kept else 1.0
+        return SolutionAttributes(a_sig, a_sat, a_cov, a_bat)
+
+    return attributes
 
 
 def compute_attributes(solution: CoverageSolution, pool: CandidatePool) -> SolutionAttributes:
-    return SolutionAttributes(
-        signal=attr_signal(solution, pool),
-        saturation=attr_saturation(solution, pool),
-        coverage=attr_coverage(solution, pool),
-        battery=attr_battery(solution, pool),
-    )
+    """The four attributes of one solution; see _attribute_step for the rules."""
+    return _attribute_step(pool)(solution)
 
 
 def score(attrs: SolutionAttributes, weights: ScoringWeights) -> float:
@@ -283,12 +269,19 @@ def decide(pool: CandidatePool, weights: ScoringWeights) -> Decision:
     """Score every solution and emit the commands realizing the best one.
 
     Ties prefer more revocations, then the no-action solution, then the
-    lexicographically lowest active set. Solutions whose attributes are
-    undefined are skipped; if none can be scored the no-action solution is
-    returned unscored and nothing changes.
+    lexicographically lowest active set. When the pool's attributes are
+    undefined (empty own map) no solution is scored: the no-action solution
+    is returned unscored and nothing changes.
     """
     solutions = enumerate_solutions(pool)
-    _score_solutions(solutions, pool, weights)
+    try:
+        attributes = _attribute_step(pool)
+    except UndefinedAttributeError:
+        pass
+    else:
+        for sol in solutions:
+            sol.attrs = attributes(sol)
+            sol.score = score(sol.attrs, weights)
     no_action_revoked = (pool.maker_id,)
     scored = [s for s in solutions if s.score is not None]
     if scored:
@@ -307,68 +300,3 @@ def decide(pool: CandidatePool, weights: ScoringWeights) -> Decision:
             commands.append(RoleCommand("revoke", n.entity_id))
     return Decision(chosen=chosen, commands=tuple(commands))
 
-
-def _score_solutions(solutions: list[CoverageSolution], pool: CandidatePool, weights: ScoringWeights) -> None:
-    """Fill attrs and score on each solution, vectorized over cells.
-
-    Integer tallies keep the arithmetic bit-identical to the per-solution
-    attribute functions: sums of small ints divided by one denominator.
-    Pools whose attributes are undefined leave every solution unscored.
-    """
-    own_count = len(pool.maker_map.cells)
-    if own_count == 0:
-        return
-    index: dict[Cell, int] = {}
-    for m in [pool.maker_map] + [n.coverage for n in pool.neighbors] + list(pool.second_hop):
-        for cell in m.cells:
-            if cell not in index:
-                index[cell] = len(index)
-    n_cells = len(index)
-    if n_cells == 0:
-        return
-
-    rows = [pool.maker_map] + [n.coverage for n in pool.neighbors]
-    strengths = np.zeros((len(rows), n_cells), dtype=np.int16)
-    for i, m in enumerate(rows):
-        for cell, s in m.cells.items():
-            strengths[i, index[cell]] = s
-    hop2_best = np.zeros(n_cells, dtype=np.int16)
-    hop2_count = np.zeros(n_cells, dtype=np.int32)
-    for m in pool.second_hop:
-        for cell, s in m.cells.items():
-            j = index[cell]
-            if s > hop2_best[j]:
-                hop2_best[j] = s
-            hop2_count[j] += 1
-    own_mask = np.zeros(n_cells, dtype=bool)
-    for cell in pool.maker_map.cells:
-        own_mask[index[cell]] = True
-
-    ids = [pool.maker_id] + [n.entity_id for n in pool.neighbors]
-    row_of = {eid: i for i, eid in enumerate(ids)}
-    batteries = {pool.maker_id: 1.0}
-    for n in pool.neighbors:
-        batteries[n.entity_id] = n.battery
-
-    for sol in solutions:
-        sel = [row_of[eid] for eid in sol.active]
-        if sel:
-            active_rows = strengths[sel]
-            best = np.maximum(active_rows.max(axis=0), hop2_best)
-            count = (active_rows > 0).sum(axis=0) + hop2_count
-        else:
-            best = hop2_best
-            count = hop2_count
-        covered = count > 0
-        restricted = covered & own_mask
-        if restricted.any():
-            a_sig = int(best[restricted].sum()) / own_count
-            a_sat = int(count[restricted].sum()) / own_count
-        else:
-            a_sig = 1.0
-            a_sat = 1.0
-        a_cov = int(covered.sum()) / n_cells
-        kept = [batteries[eid] for eid in sol.active]
-        a_bat = sum(kept) / len(kept) if kept else 1.0
-        sol.attrs = SolutionAttributes(a_sig, a_sat, a_cov, a_bat)
-        sol.score = score(sol.attrs, weights)

@@ -1,15 +1,15 @@
-"""Coverage maps learned from overheard beacons, and their merge rules.
+"""Coverage maps learned from overheard beacons, and beacon-log IO.
 
 A parked car builds its own coverage map by accumulating beacon RSSI
 readings per cell, then quantizing per-cell mean RSSI into a strength
-class. Merging several maps yields two per-cell tables: the best strength
-any contributor offers, and how many contributors cover the cell.
+class. Merging maps is part of scoring (parkrsu.decision).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import MalformedLineError
@@ -52,18 +52,6 @@ class CellStats:
     sd_rssi: float
     histogram: list[int]
     bimodal: bool
-
-
-@dataclass
-class LocalMaps:
-    """Merged view over several coverage maps, on identical key sets.
-
-    best_signal holds the per-cell maximum strength class; saturation holds
-    the per-cell number of contributing maps.
-    """
-
-    best_signal: dict[Cell, int]
-    saturation: dict[Cell, int]
 
 
 class CoverageMapBuilder:
@@ -117,7 +105,7 @@ class CoverageMapBuilder:
                 )
             )
             if n >= min_samples:
-                cmap[cell] = rssi_to_strength(int(min(MAX_RSSI, max(MIN_RSSI, round(mean)))))
+                cmap[cell] = _mean_to_strength(mean)
         return CoverageMap(self.owner, cmap), stats
 
     def finalize_coverage(self, min_samples: int = DEFAULT_MIN_SAMPLES) -> CoverageMap:
@@ -128,8 +116,13 @@ class CoverageMapBuilder:
             if n < min_samples:
                 continue
             mean = sum(r * c for r, c in counts.items()) / n
-            cmap[cell] = rssi_to_strength(int(min(MAX_RSSI, max(MIN_RSSI, round(mean)))))
+            cmap[cell] = _mean_to_strength(mean)
         return CoverageMap(self.owner, cmap)
+
+
+def _mean_to_strength(mean: float) -> int:
+    """Class of a cell's mean RSSI: rounded half-even, clamped to the scale."""
+    return rssi_to_strength(int(min(MAX_RSSI, max(MIN_RSSI, round(mean)))))
 
 
 def _is_bimodal(hist: list[int], n: int) -> bool:
@@ -145,26 +138,6 @@ def _is_bimodal(hist: list[int], n: int) -> bool:
             if (b - a) * _BIMODAL_WINDOW >= BIMODAL_SEPARATION_RSSI:
                 return True
     return False
-
-
-def merge_local_maps(maps: Iterable[CoverageMap]) -> LocalMaps:
-    """Merge coverage maps cell by cell: keep the max class, count contributors.
-
-    An empty input yields empty (and valid) local maps.
-    """
-    best: dict[Cell, int] = {}
-    count: dict[Cell, int] = {}
-    for m in maps:
-        for cell, s in m.cells.items():
-            prev = best.get(cell)
-            if prev is None:
-                best[cell] = s
-                count[cell] = 1
-            else:
-                if s > prev:
-                    best[cell] = s
-                count[cell] = count[cell] + 1
-    return LocalMaps(best_signal=best, saturation=count)
 
 
 def parse_beacon_log(lines: Iterable[str], source: str = "beacon log") -> Iterator[tuple[float, int, Cell, int]]:
@@ -196,25 +169,12 @@ def write_beacon_log(rows: Iterable[tuple[float, int, Cell, int]], path) -> None
 
 
 def read_beacon_log(path) -> Iterator[tuple[float, int, Cell, int]]:
+    """Parse a beacon-log file, skipping its header line if it has one."""
     with open(path) as fh:
-        header = fh.readline()
-        if header.strip() and not header.startswith("time_s"):
-            yield from parse_beacon_log([header], source=str(path))
-        yield from _parse_rest(fh, str(path))
-
-
-def _parse_rest(fh, source: str) -> Iterator[tuple[float, int, Cell, int]]:
-    for line_no, raw in enumerate(fh, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise MalformedLineError(f"{source}: line {line_no}: expected time_s,tx_id,cell_x,cell_y,rssi")
-        try:
-            yield float(parts[0]), int(parts[1]), Cell(int(parts[2]), int(parts[3])), int(parts[4])
-        except ValueError:
-            raise MalformedLineError(f"{source}: line {line_no}: malformed field") from None
+        first = fh.readline()
+        if first.startswith("time_s"):
+            first = ""  # blank lines are skipped, so line numbers still count it
+        yield from parse_beacon_log(itertools.chain([first], fh), source=str(path))
 
 
 def write_cell_stats_csv(stats: Iterable[CellStats], path) -> None:

@@ -156,11 +156,9 @@ def sample_rssi(s: int, noise_sd: float, rng: np.random.Generator) -> int:
     Gaussian noise around the class center, rounded half-even and clamped
     to the 1..50 scale. Class 0 carries no beacon to sample.
     """
-    if s < 1:
-        raise NoBeaconError("no beacon is received at strength class 0")
-    center = strength_to_rssi_center(s)
-    value = center + (rng.normal(0.0, noise_sd) if noise_sd > 0 else 0.0)
-    return int(min(MAX_RSSI, max(MIN_RSSI, round(value))))
+    if s > MAX_STRENGTH:
+        raise ValueError(f"strength class {s} has no RSSI center")
+    return int(sample_rssi_many(np.array([s]), noise_sd, rng)[0])
 
 
 def sample_rssi_many(classes: np.ndarray, noise_sd: float, rng: np.random.Generator) -> np.ndarray:

@@ -220,6 +220,14 @@ class TestInferMap:
         assert main(["infer-map", "--log", str(log), "--out", str(tmp_path)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_out_of_scale_rssi_after_header_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "loud.csv"
+        log.write_text("time_s,tx_id,cell_x,cell_y,rssi\n0.0,9,1,2,51\n")
+        assert main(["infer-map", "--log", str(log), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "line 2" in err
+
     def test_empty_log_succeeds_with_empty_outputs(self, tmp_path, capsys):
         log = tmp_path / "empty.csv"
         log.write_text("")

@@ -111,6 +111,13 @@ class TestIniRoundTrip:
         with pytest.raises(ConfigurationError, match=r"unknown field decision\.w_zap"):
             RunConfig.from_file(p)
 
+    def test_unknown_section_names_file_and_section(self, tmp_path):
+        p = tmp_path / "typo.ini"
+        p.write_text("[decison]\nw_sat = 0.9\n")
+        with pytest.raises(ConfigurationError, match=r"unknown section \[decison\]") as exc:
+            RunConfig.from_file(p)
+        assert str(p) in str(exc.value)
+
     def test_unparseable_value_names_field(self, tmp_path):
         p = tmp_path / "bad2.ini"
         p.write_text("[sim]\nseed = banana\n")

@@ -16,10 +16,6 @@ from parkrsu.decision import (
     ScoringWeights,
     SolutionAttributes,
     UndefinedAttributeError,
-    attr_battery,
-    attr_coverage,
-    attr_saturation,
-    attr_signal,
     battery_indicator,
     compute_attributes,
     decide,
@@ -155,37 +151,36 @@ class TestAttributesHandChecked:
 
     def test_lone_maker_signal_is_own_mean(self):
         pool = CandidatePool(1, CoverageMap(1, {A: 5, B: 3}))
-        s = solution_by_revoked(pool, ())
-        assert attr_signal(s, pool) == 4.0
-        assert attr_saturation(s, pool) == 1.0
+        attrs = compute_attributes(solution_by_revoked(pool, ()), pool)
+        assert attrs.signal == 4.0
+        assert attrs.saturation == 1.0
 
     def test_neighbor_max_rule_lifts_signal(self):
         pool = CandidatePool(1, CoverageMap(1, {A: 3}), neighbors=(rsu(2, {A: 5}),))
-        s = solution_by_revoked(pool, ())
-        assert attr_signal(s, pool) == 5.0
-        assert attr_saturation(s, pool) == 2.0
+        attrs = compute_attributes(solution_by_revoked(pool, ()), pool)
+        assert attrs.signal == 5.0
+        assert attrs.saturation == 2.0
 
     def test_redundant_no_action_keeps_full_coverage(self):
         pool = CandidatePool(1, CoverageMap(1, {A: 4}), neighbors=(rsu(2, {A: 4}),))
-        s = solution_by_revoked(pool, (1,))
-        assert attr_coverage(s, pool) == 1.0
+        assert compute_attributes(solution_by_revoked(pool, (1,)), pool).coverage == 1.0
 
     def test_battery_over_kept_actives_only(self):
         pool = CandidatePool(
             1, CoverageMap(1, {A: 5}), neighbors=(rsu(2, {A: 1}, 0.2), rsu(3, {A: 1}, 0.6))
         )
-        assert attr_battery(solution_by_revoked(pool, ()), pool) == pytest.approx(0.6)
-        assert attr_battery(solution_by_revoked(pool, (2, 3)), pool) == 1.0
-        assert attr_battery(solution_by_revoked(pool, (1,)), pool) == pytest.approx(0.4)
+        def battery(revoked):
+            return compute_attributes(solution_by_revoked(pool, revoked), pool).battery
+
+        assert battery(()) == pytest.approx(0.6)
+        assert battery((2, 3)) == 1.0
+        assert battery((1,)) == pytest.approx(0.4)
 
     def test_empty_maker_map_is_undefined(self):
         pool = CandidatePool(1, CoverageMap(1, {}))
-        s = solution_by_revoked(pool, ())
-        for fn in (attr_signal, attr_saturation):
+        for s in enumerate_solutions(pool):
             with pytest.raises(UndefinedAttributeError):
-                fn(s, pool)
-        with pytest.raises(UndefinedAttributeError):
-            attr_coverage(s, pool)
+                compute_attributes(s, pool)
 
 
 class TestScore:
@@ -263,19 +258,14 @@ class TestDecide:
         assert d.chosen.score is None
         assert d.commands == ()
 
-    def test_vectorized_attributes_match_scalar_path(self, rng):
+    def test_attributes_match_oracle(self, rng):
         for _ in range(40):
             pool = random_pool(rng)
-            d = decide(pool, ScoringWeights())
             for s in enumerate_solutions(pool):
-                via_decide = next(
-                    x
-                    for x in _scored_solutions(pool)
-                    if (x.active, x.revoked) == (s.active, s.revoked)
-                )
-                if via_decide.attrs is not None:
-                    assert via_decide.attrs == compute_attributes(s, pool)
-            assert d.chosen is not None
+                got = compute_attributes(s, pool)
+                assert got == pytest.approx(oracles.oracle_attributes(pool, s), rel=1e-12)
+            d = decide(pool, ScoringWeights())
+            assert d.chosen.attrs == compute_attributes(d.chosen, pool)
 
     def test_parity_with_exhaustive_oracle(self, rng):
         weight_choices = [
@@ -303,14 +293,6 @@ class TestDecide:
                 assert assigns == []
             neighbor_ids = {n.entity_id for n in pool.neighbors}
             assert {c.target_id for c in revokes} == neighbor_ids - set(d.chosen.active)
-
-
-def _scored_solutions(pool):
-    from parkrsu.decision import _score_solutions
-
-    solutions = enumerate_solutions(pool)
-    _score_solutions(solutions, pool, ScoringWeights())
-    return solutions
 
 
 def random_pool(rng):

@@ -6,13 +6,13 @@ import random
 import numpy as np
 import pytest
 
+from parkrsu.decision import ActiveRsu, CandidatePool, CoverageSolution, compute_attributes
 from parkrsu.errors import MalformedLineError
 from parkrsu.grid import Cell
 from parkrsu.maps import (
     DEFAULT_MIN_SAMPLES,
     CoverageMap,
     CoverageMapBuilder,
-    merge_local_maps,
     parse_beacon_log,
     read_beacon_log,
     write_beacon_log,
@@ -173,34 +173,57 @@ class TestBimodalFlag:
         assert st.bimodal is True
 
 
+PROBE_CELLS = [Cell(x, y) for x in range(6) for y in range(6)]
+
+
+def merge_by_scoring(maps):
+    """Per-cell best class and contributor count, as scoring merges these maps.
+
+    Each map is an active neighbor of a revoked maker. Probing one cell at a
+    time as the maker's whole own map reads the merge back: coverage is 1.0
+    exactly when some map covers the cell, and then signal is the best class
+    there and saturation the contributor count.
+    """
+    neighbors = tuple(ActiveRsu(i + 1, m, 1.0) for i, m in enumerate(maps))
+    solution = CoverageSolution(active=tuple(n.entity_id for n in neighbors), revoked=(0,))
+    best, count = {}, {}
+    for cell in PROBE_CELLS:
+        attrs = compute_attributes(solution, CandidatePool(0, CoverageMap(0, {cell: 1}), neighbors))
+        if attrs.coverage == 1.0:
+            best[cell], count[cell] = int(attrs.signal), int(attrs.saturation)
+    return best, count
+
+
 class TestMergeLocalMaps:
+    """The local-map merge rule (max class, contributor count) inside scoring."""
+
     def test_singleton(self):
         m = CoverageMap(1, {Cell(0, 0): 3, Cell(1, 0): 5})
-        lm = merge_local_maps([m])
-        assert lm.best_signal == m.cells
-        assert lm.saturation == {Cell(0, 0): 1, Cell(1, 0): 1}
+        best, count = merge_by_scoring([m])
+        assert best == m.cells
+        assert count == {Cell(0, 0): 1, Cell(1, 0): 1}
 
     def test_disjoint_maps(self):
         a = CoverageMap(1, {Cell(0, 0): 2})
         b = CoverageMap(2, {Cell(5, 5): 4})
-        lm = merge_local_maps([a, b])
-        assert lm.saturation == {Cell(0, 0): 1, Cell(5, 5): 1}
+        _, count = merge_by_scoring([a, b])
+        assert count == {Cell(0, 0): 1, Cell(5, 5): 1}
 
     def test_overlap_keeps_max_and_counts(self):
         a = CoverageMap(1, {Cell(0, 0): 3})
         b = CoverageMap(2, {Cell(0, 0): 5})
-        lm = merge_local_maps([a, b])
-        assert lm.best_signal == {Cell(0, 0): 5}
-        assert lm.saturation == {Cell(0, 0): 2}
+        best, count = merge_by_scoring([a, b])
+        assert best == {Cell(0, 0): 5}
+        assert count == {Cell(0, 0): 2}
 
     def test_empty_input(self):
-        lm = merge_local_maps([])
-        assert lm.best_signal == {} and lm.saturation == {}
+        best, count = merge_by_scoring([])
+        assert best == {} and count == {}
 
     def test_key_sets_identical(self, rng):
         maps = self.random_maps(rng, 5)
-        lm = merge_local_maps(maps)
-        assert set(lm.best_signal) == set(lm.saturation)
+        best, count = merge_by_scoring(maps)
+        assert set(best) == set(count) == {c for m in maps for c in m.cells}
 
     def random_maps(self, rng, k):
         maps = []
@@ -214,18 +237,18 @@ class TestMergeLocalMaps:
 
     def test_permutation_invariance(self, rng):
         maps = self.random_maps(rng, 4)
-        base = merge_local_maps(maps)
+        base = merge_by_scoring(maps)
         for perm in itertools.permutations(maps):
-            assert merge_local_maps(perm) == base
+            assert merge_by_scoring(perm) == base
 
     def test_values_bounded_by_inputs(self, rng):
         maps = self.random_maps(rng, 6)
-        lm = merge_local_maps(maps)
-        for cell, best in lm.best_signal.items():
+        best, count = merge_by_scoring(maps)
+        for cell, b in best.items():
             contributors = [m.cells[cell] for m in maps if cell in m.cells]
-            assert best == max(contributors)
-            assert lm.saturation[cell] == len(contributors)
-            assert 1 <= lm.saturation[cell] <= len(maps)
+            assert b == max(contributors)
+            assert count[cell] == len(contributors)
+            assert 1 <= count[cell] <= len(maps)
 
 
 class TestBeaconLogIO:
@@ -262,6 +285,13 @@ class TestBeaconLogIO:
     def test_out_of_scale_rssi_rejected_by_parser(self):
         with pytest.raises(MalformedLineError, match="line 1"):
             list(parse_beacon_log(["0.0,9,1,2,51"]))
+
+    @pytest.mark.parametrize("rssi", [51, 0])
+    def test_out_of_scale_rssi_after_header_names_line(self, tmp_path, rssi):
+        p = tmp_path / "loud.csv"
+        p.write_text(f"time_s,tx_id,cell_x,cell_y,rssi\n0.0,9,1,2,{rssi}\n")
+        with pytest.raises(MalformedLineError, match="line 2"):
+            list(read_beacon_log(p))
 
     def test_empty_file_yields_nothing(self, tmp_path):
         p = tmp_path / "empty.csv"
