@@ -160,7 +160,6 @@ _SWEEP_METRICS = ("active_rsus", "coverage_pct", "mean_signal", "mean_saturation
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_config(args)
-    out = _out_dir(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigurationError("--values must name at least one value")
@@ -169,6 +168,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Validate every point up front so a bad value fails before any run starts.
     for v in values:
         base.with_overrides(**{args.field: v})
+    out = _out_dir(args)
     seeds = [base.sim.seed + i for i in range(args.seeds)]
     payloads = [(base, args.field, v, s) for v in values for s in seeds]
     if args.jobs > 1:
@@ -222,10 +222,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     if args.samples < 0:
         raise ConfigurationError("--samples must be non-negative")
     result = random_assignment_bounds(cfg, args.samples)
+    out = _out_dir(args)
     write_bounds_csv(result.samples, os.path.join(out, "bounds.csv"))
     write_manifest(
         cfg,
@@ -243,7 +243,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer_map(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     if args.min_samples < 1:
         raise ConfigurationError("--min-samples must be >= 1")
     builder = CoverageMapBuilder(args.owner)
@@ -252,6 +251,7 @@ def _cmd_infer_map(args: argparse.Namespace) -> int:
         builder.record(cell, rssi)
         n_rows += 1
     cmap, stats = builder.finalize(args.min_samples)
+    out = _out_dir(args)
     write_coverage_csv(cmap, os.path.join(out, "coverage.csv"))
     write_cell_stats_csv(stats, os.path.join(out, "cell_stats.csv"))
     print(f"read {n_rows} beacon rows over {len(stats)} cells; {cmap.covered_count} mapped")

@@ -199,6 +199,8 @@ class RunConfig:
         s = self.sim
         if s.duration_s < 0:
             raise ConfigurationError("sim.duration_s must be non-negative")
+        if t.mode == DAY_PROFILE and s.duration_s > 86400:
+            raise ConfigurationError("sim.duration_s must be at most 86400 in day_profile mode (one day of arrivals)")
         if s.discard_s < 0:
             raise ConfigurationError("sim.discard_s must be non-negative")
         if s.bounds_fill_count < 1:

@@ -178,12 +178,16 @@ class FootprintCache:
     footprint(c) maps every usable cell reachable from c (class >= 1) to its
     strength class, including c itself at class 5. Footprints are symmetric,
     so the same table answers both "whom do I cover" and "whom do I hear".
+    arrays(c) is the same footprint as (index into grid.usable_cells, class)
+    arrays, the encoding of per-cell coverage tallies.
     """
 
     def __init__(self, grid: CityGrid, cfg: PropagationConfig):
         self.grid = grid
         self.cfg = cfg
         self._cache: dict[Cell, dict[Cell, int]] = {}
+        self._arrays: dict[Cell, tuple[np.ndarray, np.ndarray]] = {}
+        self._usable_index = {c: i for i, c in enumerate(grid.usable_cells)}
         self._radius_cells = int(math.ceil(cfg.max_range_m / grid.cell_size_m))
 
     def footprint(self, cell: Cell) -> dict[Cell, int]:
@@ -192,6 +196,16 @@ class FootprintCache:
             fp = self._compute(cell)
             self._cache[cell] = fp
         return fp
+
+    def arrays(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
+        cached = self._arrays.get(cell)
+        if cached is None:
+            fp = self.footprint(cell)
+            index = self._usable_index
+            idx = np.fromiter((index[c] for c in fp), dtype=np.int64, count=len(fp))
+            cls = np.fromiter(fp.values(), dtype=np.int64, count=len(fp))
+            cached = self._arrays[cell] = (idx, cls)
+        return cached
 
     def _compute(self, cell: Cell) -> dict[Cell, int]:
         grid = self.grid

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,7 +34,7 @@ from .decision import (
     decide,
 )
 from .errors import ConfigurationError
-from .grid import Cell
+from .grid import Cell, CityGrid
 from .maps import CoverageMap, CoverageMapBuilder
 from .radio import FootprintCache, sample_rssi_many
 from .traffic import Role, TrafficProcess, Vehicle, should_depart
@@ -148,20 +149,17 @@ class Simulation:
             self.model, self.grid, self._rng_traffic, speed_mps=config.traffic.speed_mps
         )
         self._footprints = FootprintCache(self.grid, self.prop)
-        self._cell_index = {c: i for i, c in enumerate(self.grid.usable_cells)}
-        self._counts = np.zeros((len(self._cell_index), 6), dtype=np.int32)
-        self._fp_arrays_cache: dict[Cell, tuple[np.ndarray, np.ndarray]] = {}
+        self._counts = np.zeros((self.grid.usable_count, 6), dtype=np.int32)
         self._cell_area = self.grid.cell_size_m**2
 
-        self._vehicles: dict[int, Vehicle] = {}
+        self._vehicles: dict[int, Vehicle] = {}  # parked cars, in parking order
         self._moving: dict[int, Vehicle] = {}
         self._learning: dict[int, Vehicle] = {}
         self._active: dict[int, Vehicle] = {}
         self._builders: dict[int, CoverageMapBuilder] = {}
         self._learned: dict[int, CoverageMap] = {}
-        self._pending: list[int] = []
-        self._pending_head = 0
-        self._departures: list[tuple[float, int]] = []
+        self._pending: deque[int] = deque()
+        self._departures: list[tuple[float, int, Vehicle]] = []
         self._forced: list[tuple[float, int]] = []
 
         self.metrics: list[MetricsSample] = []
@@ -197,61 +195,26 @@ class Simulation:
 
     def _tick(self, t: float) -> None:
         self._phase_traffic(t)
+        self._promote_learners(t)
         self._phase_beacons(t)
         self._phase_forced_revocations(t)
         self._phase_decision(t)
         self._phase_metrics(t)
 
     def _phase_traffic(self, t: float) -> None:
-        for v in self.traffic.spawn(t):
-            self._vehicles[v.vid] = v
-            self._moving[v.vid] = v
-        for v in self._moving.values():
-            self.traffic.step(v)
-        parked_now = []
-        for v in self._moving.values():
-            if self.traffic.maybe_park(v, t):
-                parked_now.append(v)
-        for v in parked_now:
-            del self._moving[v.vid]
+        parked, departed = _traffic_tick(self.traffic, self._moving, self._departures, t)
+        for v in parked:
             self.parking_events += 1
+            self._vehicles[v.vid] = v
             self._learning[v.vid] = v
             self._builders[v.vid] = CoverageMapBuilder(v.vid)
-            heapq.heappush(self._departures, (v.parked_at + v.planned_duration_s, v.vid))
-        while self._departures and self._departures[0][0] <= t:
-            _, vid = heapq.heappop(self._departures)
-            v = self._vehicles.get(vid)
-            if v is None or not should_depart(v, t):
-                continue
+        for v in departed:
             if v.role is Role.PARKED_RSU:
-                self._revoke(vid, t, CAUSE_DEPARTURE)
-            self._vehicles.pop(vid, None)
-            self._learning.pop(vid, None)
-            self._builders.pop(vid, None)
-            self._learned.pop(vid, None)
-
-    def _phase_beacons(self, t: float) -> None:
-        movers = self._moving
-        self.message_counts[KIND_CAM] += len(movers)
-        if not movers:
-            self._promote_learners(t)
-            return
-        mover_cells = [v.cell for v in movers.values()]
-        learn_s = self.config.decision.learning_period_s
-        noise_sd = self.config.radio.noise_sd
-        for vid, learner in self._learning.items():
-            if t - learner.parked_at >= learn_s:
-                continue
-            fp = self._footprints.footprint(learner.cell)
-            heard = [(c, fp[c]) for c in mover_cells if c in fp]
-            if not heard:
-                continue
-            classes = np.fromiter((s for _, s in heard), dtype=np.int64, count=len(heard))
-            rssis = sample_rssi_many(classes, noise_sd, self._rng_beacons)
-            builder = self._builders[vid]
-            for (cell, _), rssi in zip(heard, rssis):
-                builder.record(cell, int(rssi))
-        self._promote_learners(t)
+                self._revoke(v.vid, t, CAUSE_DEPARTURE)
+            del self._vehicles[v.vid]
+            self._learning.pop(v.vid, None)
+            self._builders.pop(v.vid, None)
+            self._learned.pop(v.vid, None)
 
     def _promote_learners(self, t: float) -> None:
         learn_s = self.config.decision.learning_period_s
@@ -265,6 +228,24 @@ class Simulation:
             self._learned[vid] = CoverageMap(vid, cells)
             self._pending.append(vid)
 
+    def _phase_beacons(self, t: float) -> None:
+        movers = self._moving
+        self.message_counts[KIND_CAM] += len(movers)
+        if not movers:
+            return
+        mover_cells = [v.cell for v in movers.values()]
+        noise_sd = self.config.radio.noise_sd
+        for vid, learner in self._learning.items():
+            fp = self._footprints.footprint(learner.cell)
+            heard = [(c, fp[c]) for c in mover_cells if c in fp]
+            if not heard:
+                continue
+            classes = np.fromiter((s for _, s in heard), dtype=np.int64, count=len(heard))
+            rssis = sample_rssi_many(classes, noise_sd, self._rng_beacons)
+            builder = self._builders[vid]
+            for (cell, _), rssi in zip(heard, rssis):
+                builder.record(cell, int(rssi))
+
     def _phase_forced_revocations(self, t: float) -> None:
         while self._forced and self._forced[0][0] <= t:
             _, vid = heapq.heappop(self._forced)
@@ -275,9 +256,8 @@ class Simulation:
                 self._revoke(vid, t, CAUSE_FORCED)
 
     def _phase_decision(self, t: float) -> None:
-        while self._pending_head < len(self._pending):
-            vid = self._pending[self._pending_head]
-            self._pending_head += 1
+        while self._pending:
+            vid = self._pending.popleft()
             maker = self._vehicles.get(vid)
             if maker is None or maker.role is not Role.PARKED_SILENT:
                 continue
@@ -289,9 +269,6 @@ class Simulation:
                 one_hop = {n.entity_id for n in pool.neighbors}
                 self._apply_commands(t, vid, decision.commands, one_hop)
             self.decisions += 1
-            if self._pending_head > 1024:
-                del self._pending[: self._pending_head]
-                self._pending_head = 0
             return
 
     def _phase_metrics(self, t: float) -> None:
@@ -373,22 +350,12 @@ class Simulation:
 
     # role bookkeeping
 
-    def _fp_arrays(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._fp_arrays_cache.get(cell)
-        if cached is None:
-            fp = self._footprints.footprint(cell)
-            idx = np.fromiter((self._cell_index[c] for c in fp), dtype=np.int64, count=len(fp))
-            cls = np.fromiter(fp.values(), dtype=np.int64, count=len(fp))
-            cached = (idx, cls)
-            self._fp_arrays_cache[cell] = cached
-        return cached
-
     def _activate(self, vid: int, t: float) -> None:
         v = self._vehicles[vid]
         v.role = Role.PARKED_RSU
         v.rsu_active_since = t
         self._active[vid] = v
-        idx, cls = self._fp_arrays(v.cell)
+        idx, cls = self._footprints.arrays(v.cell)
         self._counts[idx, cls] += 1
         if not math.isinf(self.policy.max_time_s):
             heapq.heappush(self._forced, (t + self.policy.max_time_s, vid))
@@ -399,7 +366,7 @@ class Simulation:
         self.lifetimes.append(RsuLifetimeRecord(vid, v.rsu_active_since, t, cause))
         v.role = Role.PARKED_SILENT
         v.rsu_active_since = None
-        idx, cls = self._fp_arrays(v.cell)
+        idx, cls = self._footprints.arrays(v.cell)
         self._counts[idx, cls] -= 1
 
     # metrics
@@ -409,7 +376,7 @@ class Simulation:
         sat = contrib.sum(axis=1)
         covered = sat > 0
         n_cov = int(covered.sum())
-        n_usable = len(self._cell_index)
+        n_usable = self._counts.shape[0]
         n_active = len(self._active)
         if n_cov:
             best = ((contrib > 0) * np.arange(1, 6)).max(axis=1)
@@ -432,7 +399,7 @@ class Simulation:
         """Recompute the coverage tallies from scratch; they must match exactly."""
         scratch = np.zeros_like(self._counts)
         for v in self._active.values():
-            idx, cls = self._fp_arrays(v.cell)
+            idx, cls = self._footprints.arrays(v.cell)
             scratch[idx, cls] += 1
         if not np.array_equal(scratch, self._counts):
             raise RuntimeError(f"coverage ledger out of sync at t={t}")
@@ -471,31 +438,49 @@ def steady_state_stats(metrics: Sequence[MetricsSample], discard_s: float) -> St
     )
 
 
-def _warmed_up_parked_cells(config: RunConfig, rng: np.random.Generator) -> list[Cell]:
-    """Cells of the cars the config's own parking process leaves parked.
-
-    Runs traffic alone (no radio, no decisions) for the config's discard
-    window so the snapshot reflects where vehicles actually park — including
-    the extra weight busy cells such as intersections receive.
+def _traffic_tick(
+    traffic: TrafficProcess,
+    moving: dict[int, Vehicle],
+    departures: list[tuple[float, int, Vehicle]],
+    t: float,
+) -> tuple[list[Vehicle], list[Vehicle]]:
+    """One tick of traffic: arrivals, then every mover steps, then every mover
+    draws one parking trial; parked cars enter the departures heap (due time,
+    vid, car). Returns (cars parked this tick, cars departed this tick).
     """
-    grid = build_grid(config)
-    model = build_parking_model(config)
-    traffic = TrafficProcess(model, grid, rng, speed_mps=config.traffic.speed_mps)
-    moving: list[Vehicle] = []
-    parked: list[Vehicle] = []
+    for v in traffic.spawn(t):
+        moving[v.vid] = v
+    for v in moving.values():
+        traffic.step(v)
+    parked = [v for v in moving.values() if traffic.maybe_park(v, t)]
+    for v in parked:
+        del moving[v.vid]
+        heapq.heappush(departures, (v.parked_at + v.planned_duration_s, v.vid, v))
+    departed = []
+    while departures and should_depart(departures[0][2], t):
+        departed.append(heapq.heappop(departures)[2])
+    return parked, departed
+
+
+def _warmed_up_parked_cells(config: RunConfig, rng: np.random.Generator, grid: CityGrid) -> list[Cell]:
+    """Cells of the cars the config's own traffic leaves parked, in parking order.
+
+    Runs the simulation's traffic lifecycle alone (no radio, no decisions)
+    from t=0 for the config's discard window, so the snapshot reflects where
+    vehicles actually park, including the extra weight busy cells such as
+    intersections receive.
+    """
+    traffic = TrafficProcess(build_parking_model(config), grid, rng, speed_mps=config.traffic.speed_mps)
+    moving: dict[int, Vehicle] = {}
+    departures: list[tuple[float, int, Vehicle]] = []
+    parked: dict[int, Vehicle] = {}
     for tick in range(max(1, int(round(config.sim.discard_s)))):
-        t = float(tick)
-        parked = [v for v in parked if not should_depart(v, t)]
-        moving.extend(traffic.spawn(t))
-        still_moving: list[Vehicle] = []
-        for v in moving:
-            traffic.step(v)
-            if traffic.maybe_park(v, t):
-                parked.append(v)
-            else:
-                still_moving.append(v)
-        moving = still_moving
-    return [v.cell for v in parked]
+        now_parked, departed = _traffic_tick(traffic, moving, departures, float(tick))
+        for v in now_parked:
+            parked[v.vid] = v
+        for v in departed:
+            del parked[v.vid]
+    return [v.cell for v in parked.values()]
 
 
 def random_assignment_bounds(
@@ -516,9 +501,7 @@ def random_assignment_bounds(
     grid = build_grid(config)
     prop = build_propagation(config)
     cache = FootprintCache(grid, prop)
-    usable = grid.usable_cells
-    cell_index = {c: i for i, c in enumerate(usable)}
-    fill_cells = _warmed_up_parked_cells(config, rng)
+    fill_cells = _warmed_up_parked_cells(config, rng, grid)
     if not fill_cells:
         raise ConfigurationError(
             "parking process left no parked vehicles to assign; "
@@ -529,12 +512,11 @@ def random_assignment_bounds(
         fill_cells = [fill_cells[int(i)] for i in sorted(keep)]
     n_cars = len(fill_cells)
 
-    footprints = np.zeros((n_cars, len(usable)), dtype=np.int8)
+    footprints = np.zeros((n_cars, grid.usable_count), dtype=np.int8)
     for row, cell in enumerate(fill_cells):
-        for c, s in cache.footprint(cell).items():
-            footprints[row, cell_index[c]] = s
+        idx, cls = cache.arrays(cell)
+        footprints[row, idx] = cls
     by_class = [(footprints == s).astype(np.float32) for s in range(1, 6)]
-    any_cover = (footprints > 0).astype(np.float32)
 
     samples: list[tuple[float, float]] = []
     skipped = 0
@@ -545,10 +527,12 @@ def random_assignment_bounds(
         if not pending_rows:
             return
         mask = np.stack(pending_rows)
-        count = mask @ any_cover
+        # Each footprint cell has one class: the per-class hits sum to the contributor count.
+        count = np.zeros((len(mask), grid.usable_count), dtype=np.float32)
         best = np.zeros_like(count)
         for s in range(5, 0, -1):
             hits = mask @ by_class[s - 1]
+            count += hits
             best = np.where((best == 0) & (hits > 0), float(s), best)
         n_cov = (count > 0).sum(axis=1)
         mean_sig = best.sum(axis=1) / n_cov

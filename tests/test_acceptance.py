@@ -4,7 +4,7 @@ Every check runs the real public surface (configs, runs, bounds sampling,
 log inference) at full length; nothing is stubbed or shortened below the
 tolerances the criteria state. Shared scenarios are cached per config
 digest so criteria that reuse the same run do not pay for it twice. The
-measured numbers for every criterion are also appended to
+measured numbers of each criterion that runs replace its line in
 ``acceptance_report.txt`` at the repository root.
 """
 
@@ -57,9 +57,22 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def write_report():
+    """Replace the report lines of the criteria that ran; keep the others."""
     _REPORT_LINES.clear()
     yield
-    REPORT_PATH.write_text("\n".join(_REPORT_LINES) + "\n")
+    kept = REPORT_PATH.read_text().splitlines() if REPORT_PATH.exists() else []
+    # Keyed by "CRITERION NN", so sorting the keys restores criterion order.
+    lines = {line[:12]: line for line in kept + _REPORT_LINES if line.startswith("CRITERION ")}
+    REPORT_PATH.write_text("\n".join(lines[key] for key in sorted(lines)) + "\n")
+
+
+@pytest.fixture(autouse=True)
+def report_raised_criterion(request):
+    """A criterion that raises before report() must not keep its previous line."""
+    reported = len(_REPORT_LINES)
+    yield
+    if len(_REPORT_LINES) == reported:
+        _REPORT_LINES.append(f"CRITERION {request.node.name[6:8]}: FAIL — raised before reporting")
 
 
 @pytest.fixture(scope="module")

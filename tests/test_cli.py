@@ -241,6 +241,23 @@ class TestInferMap:
         assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", *TOY, "--samples", "-5"],
+        ["bounds", *TOY, "--set", "arrival_rate_vps=0", "--samples", "10"],
+        ["infer-map", "--log", "no-such-log.csv", "--min-samples", "0"],
+        ["infer-map", "--log", "no-such-log.csv"],
+        ["sweep", *TOY, "--field", "w_zap", "--values", "1,2"],
+    ],
+    ids=["negative-samples", "empty-population", "min-samples-0", "missing-log", "unknown-field"],
+)
+def test_rejected_invocation_creates_no_output_dir(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation_runs_end_to_end(self, tmp_path):
         proc = subprocess.run(

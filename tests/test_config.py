@@ -75,6 +75,15 @@ class TestOverrides:
         with pytest.raises(ConfigurationError, match="max_time_s"):
             RunConfig.default().with_overrides(max_time_s=100.0)
 
+    def test_day_profile_run_limited_to_one_day(self):
+        # A day profile schedules one day of arrivals; a second day would
+        # silently run with none.
+        day = RunConfig.default().with_overrides(mode="day_profile", duration_s=86400.0)
+        assert day.sim.duration_s == 86400.0
+        with pytest.raises(ConfigurationError, match=r"sim\.duration_s"):
+            day.with_overrides(duration_s=86401.0)
+        assert RunConfig.default().with_overrides(duration_s=172800.0).sim.duration_s == 172800.0
+
     def test_flat_names_globally_unique(self):
         cfg = RunConfig.default()
         flats = cfg.flat_items()

@@ -30,6 +30,7 @@ from parkrsu.sim import (
     MetricsSample,
     RsuLifetimeRecord,
     Simulation,
+    _warmed_up_parked_cells,
     random_assignment_bounds,
     run,
     steady_state_stats,
@@ -493,6 +494,21 @@ class TestRandomAssignmentBounds:
         cfg = make_config(bounds_fill_count=50, discard_s=600.0)
         result = random_assignment_bounds(cfg, 10)
         assert len(result.fill_cells) == 50
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"mean_duration_s": 200.0}, {"mode": "day_profile"}], ids=["uniform", "churn", "day"]
+    )
+    def test_warm_up_leaves_the_simulation_parked_cars(self, overrides):
+        # The traffic stream draws nothing for radio or decisions, so on the
+        # simulation's traffic seed the warm-up must park and release the same
+        # cars, in the same order, as a run of discard_s seconds.
+        cfg = make_config(blocks_x=3, blocks_y=3, duration_s=600.0, discard_s=600.0, seed=5, **overrides)
+        sim = Simulation(cfg)
+        sim.run()
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.sim.seed, 0]))
+        warm = _warmed_up_parked_cells(cfg, rng, build_grid(cfg))
+        assert warm
+        assert warm == [v.cell for v in sim._vehicles.values()]
 
     def test_deterministic_for_fixed_seed(self):
         cfg = toy_config(bounds_fill_count=6)
