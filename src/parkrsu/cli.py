@@ -165,6 +165,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError("--values must name at least one value")
     if args.seeds < 1:
         raise ConfigurationError("--seeds must be >= 1")
+    if args.field == "seed":
+        raise ConfigurationError("--field seed cannot be swept; use --seeds to run consecutive seeds")
     # Validate every point up front so a bad value fails before any run starts.
     for v in values:
         base.with_overrides(**{args.field: v})

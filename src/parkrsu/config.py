@@ -197,6 +197,8 @@ class RunConfig:
         if t.cruise_mean_s <= 0:
             raise ConfigurationError("traffic.cruise_mean_s must be positive")
         s = self.sim
+        if s.seed < 0:
+            raise ConfigurationError("sim.seed must be non-negative")
         if s.duration_s < 0:
             raise ConfigurationError("sim.duration_s must be non-negative")
         if t.mode == DAY_PROFILE and s.duration_s > 86400:

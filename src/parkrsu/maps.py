@@ -78,10 +78,9 @@ class CoverageMapBuilder:
         """Quantize accumulated readings into a map plus per-cell diagnostics.
 
         Cells with fewer than min_samples readings are reported in the stats
-        but left out of the coverage map. The class comes from the rounded
-        mean RSSI; the bimodal flag is advisory only.
+        but left out of the coverage map (see finalize_coverage). The bimodal
+        flag is advisory only.
         """
-        cmap: dict[Cell, int] = {}
         stats: list[CellStats] = []
         for cell in sorted(self._samples):
             # Iterate readings in RSSI order so the float sums (and therefore
@@ -104,12 +103,11 @@ class CoverageMapBuilder:
                     bimodal=_is_bimodal(hist, n),
                 )
             )
-            if n >= min_samples:
-                cmap[cell] = _mean_to_strength(mean)
-        return CoverageMap(self.owner, cmap), stats
+        return self.finalize_coverage(min_samples), stats
 
     def finalize_coverage(self, min_samples: int = DEFAULT_MIN_SAMPLES) -> CoverageMap:
-        """Quantized map only, skipping the per-cell diagnostics."""
+        """Quantized map: cells with at least min_samples readings, each at the
+        class of its rounded mean RSSI."""
         cmap: dict[Cell, int] = {}
         for cell, counts in self._samples.items():
             n = sum(counts.values())

@@ -178,16 +178,16 @@ class FootprintCache:
     footprint(c) maps every usable cell reachable from c (class >= 1) to its
     strength class, including c itself at class 5. Footprints are symmetric,
     so the same table answers both "whom do I cover" and "whom do I hear".
-    arrays(c) is the same footprint as (index into grid.usable_cells, class)
-    arrays, the encoding of per-cell coverage tallies.
+    row(c) is the same footprint as one int8 class per usable cell (0 out of
+    reach), positioned by index; coverage tallies and beacon hearing read rows.
     """
 
     def __init__(self, grid: CityGrid, cfg: PropagationConfig):
         self.grid = grid
         self.cfg = cfg
         self._cache: dict[Cell, dict[Cell, int]] = {}
-        self._arrays: dict[Cell, tuple[np.ndarray, np.ndarray]] = {}
-        self._usable_index = {c: i for i, c in enumerate(grid.usable_cells)}
+        self._rows: dict[Cell, np.ndarray] = {}
+        self.index = {c: i for i, c in enumerate(grid.usable_cells)}
         self._radius_cells = int(math.ceil(cfg.max_range_m / grid.cell_size_m))
 
     def footprint(self, cell: Cell) -> dict[Cell, int]:
@@ -197,15 +197,14 @@ class FootprintCache:
             self._cache[cell] = fp
         return fp
 
-    def arrays(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._arrays.get(cell)
-        if cached is None:
+    def row(self, cell: Cell) -> np.ndarray:
+        row = self._rows.get(cell)
+        if row is None:
             fp = self.footprint(cell)
-            index = self._usable_index
-            idx = np.fromiter((index[c] for c in fp), dtype=np.int64, count=len(fp))
-            cls = np.fromiter(fp.values(), dtype=np.int64, count=len(fp))
-            cached = self._arrays[cell] = (idx, cls)
-        return cached
+            row = self._rows[cell] = np.zeros(len(self.index), dtype=np.int8)
+            row[[self.index[c] for c in fp]] = list(fp.values())
+            row.flags.writeable = False
+        return row
 
     def _compute(self, cell: Cell) -> dict[Cell, int]:
         grid = self.grid

@@ -149,14 +149,14 @@ class Simulation:
             self.model, self.grid, self._rng_traffic, speed_mps=config.traffic.speed_mps
         )
         self._footprints = FootprintCache(self.grid, self.prop)
+        # _counts[i, s]: active units reaching usable cell i at class s (0: not reaching).
         self._counts = np.zeros((self.grid.usable_count, 6), dtype=np.int32)
         self._cell_area = self.grid.cell_size_m**2
 
         self._vehicles: dict[int, Vehicle] = {}  # parked cars, in parking order
         self._moving: dict[int, Vehicle] = {}
-        self._learning: dict[int, Vehicle] = {}
+        self._learning: dict[int, tuple[Vehicle, CoverageMapBuilder]] = {}
         self._active: dict[int, Vehicle] = {}
-        self._builders: dict[int, CoverageMapBuilder] = {}
         self._learned: dict[int, CoverageMap] = {}
         self._pending: deque[int] = deque()
         self._departures: list[tuple[float, int, Vehicle]] = []
@@ -206,22 +206,19 @@ class Simulation:
         for v in parked:
             self.parking_events += 1
             self._vehicles[v.vid] = v
-            self._learning[v.vid] = v
-            self._builders[v.vid] = CoverageMapBuilder(v.vid)
+            self._learning[v.vid] = (v, CoverageMapBuilder(v.vid))
         for v in departed:
             if v.role is Role.PARKED_RSU:
                 self._revoke(v.vid, t, CAUSE_DEPARTURE)
             del self._vehicles[v.vid]
             self._learning.pop(v.vid, None)
-            self._builders.pop(v.vid, None)
             self._learned.pop(v.vid, None)
 
     def _promote_learners(self, t: float) -> None:
         learn_s = self.config.decision.learning_period_s
-        done = [vid for vid, v in self._learning.items() if t - v.parked_at >= learn_s]
+        done = [vid for vid, (v, _) in self._learning.items() if t - v.parked_at >= learn_s]
         for vid in done:
-            v = self._learning.pop(vid)
-            builder = self._builders.pop(vid)
+            v, builder = self._learning.pop(vid)
             learned = builder.finalize_coverage(self.config.maps.min_samples)
             cells = dict(learned.cells)
             cells[v.cell] = 5
@@ -231,20 +228,20 @@ class Simulation:
     def _phase_beacons(self, t: float) -> None:
         movers = self._moving
         self.message_counts[KIND_CAM] += len(movers)
-        if not movers:
+        if not movers or not self._learning:
             return
         mover_cells = [v.cell for v in movers.values()]
-        noise_sd = self.config.radio.noise_sd
-        for vid, learner in self._learning.items():
-            fp = self._footprints.footprint(learner.cell)
-            heard = [(c, fp[c]) for c in mover_cells if c in fp]
-            if not heard:
-                continue
-            classes = np.fromiter((s for _, s in heard), dtype=np.int64, count=len(heard))
-            rssis = sample_rssi_many(classes, noise_sd, self._rng_beacons)
-            builder = self._builders[vid]
-            for (cell, _), rssi in zip(heard, rssis):
-                builder.record(cell, int(rssi))
+        at = [self._footprints.index[c] for c in mover_cells]
+        learners = list(self._learning.values())
+        # classes[i, j]: class at which learner i hears mover j (0: out of reach).
+        classes = np.array([self._footprints.row(v.cell) for v, _ in learners]).take(at, axis=1)
+        # Row-major: learner by learner, movers in order, one draw for the tick.
+        li, mi = np.nonzero(classes)
+        if not li.size:
+            return
+        rssis = sample_rssi_many(classes[li, mi], self.config.radio.noise_sd, self._rng_beacons)
+        for i, j, rssi in zip(li.tolist(), mi.tolist(), rssis.tolist()):
+            learners[i][1].record(mover_cells[j], rssi)
 
     def _phase_forced_revocations(self, t: float) -> None:
         while self._forced and self._forced[0][0] <= t:
@@ -355,8 +352,7 @@ class Simulation:
         v.role = Role.PARKED_RSU
         v.rsu_active_since = t
         self._active[vid] = v
-        idx, cls = self._footprints.arrays(v.cell)
-        self._counts[idx, cls] += 1
+        self._counts += self._tally([v.cell])
         if not math.isinf(self.policy.max_time_s):
             heapq.heappush(self._forced, (t + self.policy.max_time_s, vid))
         self.assignments += 1
@@ -366,8 +362,14 @@ class Simulation:
         self.lifetimes.append(RsuLifetimeRecord(vid, v.rsu_active_since, t, cause))
         v.role = Role.PARKED_SILENT
         v.rsu_active_since = None
-        idx, cls = self._footprints.arrays(v.cell)
-        self._counts[idx, cls] -= 1
+        self._counts -= self._tally([v.cell])
+
+    def _tally(self, cells: Sequence[Cell]) -> np.ndarray:
+        """Per usable cell and class, how many units at cells reach it at that class."""
+        n = self.grid.usable_count
+        rows = np.array([self._footprints.row(c) for c in cells], dtype=np.intp).reshape(len(cells), n)
+        # A unit reaching position i at class s (0: out of reach) counts at flat index 6 * i + s.
+        return np.bincount((rows + np.arange(0, 6 * n, 6)).ravel(), minlength=6 * n).reshape(n, 6)
 
     # metrics
 
@@ -397,11 +399,7 @@ class Simulation:
 
     def _verify_ledger(self, sample: MetricsSample, t: float) -> None:
         """Recompute the coverage tallies from scratch; they must match exactly."""
-        scratch = np.zeros_like(self._counts)
-        for v in self._active.values():
-            idx, cls = self._footprints.arrays(v.cell)
-            scratch[idx, cls] += 1
-        if not np.array_equal(scratch, self._counts):
+        if not np.array_equal(self._tally([v.cell for v in self._active.values()]), self._counts):
             raise RuntimeError(f"coverage ledger out of sync at t={t}")
         again = self._compute_metrics(t)
         if again != sample:
@@ -512,10 +510,7 @@ def random_assignment_bounds(
         fill_cells = [fill_cells[int(i)] for i in sorted(keep)]
     n_cars = len(fill_cells)
 
-    footprints = np.zeros((n_cars, grid.usable_count), dtype=np.int8)
-    for row, cell in enumerate(fill_cells):
-        idx, cls = cache.arrays(cell)
-        footprints[row, idx] = cls
+    footprints = np.array([cache.row(cell) for cell in fill_cells])
     by_class = [(footprints == s).astype(np.float32) for s in range(1, 6)]
 
     samples: list[tuple[float, float]] = []

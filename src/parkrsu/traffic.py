@@ -199,15 +199,15 @@ def _pick_next_cell(grid: CityGrid, current: Cell, came_from: Cell | None, rng: 
     return options[int(rng.integers(len(options)))]
 
 
-def step_vehicle(v: Vehicle, grid: CityGrid, rng: np.random.Generator, dt: float = 1.0) -> None:
-    """Advance a moving vehicle dt seconds along cell-center road segments.
+def step_vehicle(v: Vehicle, grid: CityGrid, rng: np.random.Generator) -> None:
+    """Advance a moving vehicle one second along cell-center road segments.
 
     At each cell hand-off the next cell is drawn uniformly from the usable
     neighbors, never the one just left unless the road dead-ends.
     """
     if v.role is not Role.MOVING:
         return
-    budget = v.speed_mps * dt
+    budget = v.speed_mps
     if v.target is None or v.target == v.cell:
         v.target = _pick_next_cell(grid, v.cell, v.came_from, rng)
         if v.target == v.cell:
@@ -236,11 +236,11 @@ def draw_duration(model: ParkingModel, t: float, rng: np.random.Generator) -> fl
     return float(rng.lognormal(math.log(median), sigma))
 
 
-def maybe_park(v: Vehicle, model: ParkingModel, t: float, rng: np.random.Generator, dt: float = 1.0) -> bool:
-    """Bernoulli parking trial for one moving vehicle over one tick."""
+def maybe_park(v: Vehicle, model: ParkingModel, t: float, rng: np.random.Generator) -> bool:
+    """Bernoulli parking trial for one moving vehicle over one tick (one second)."""
     if v.role is not Role.MOVING:
         return False
-    p = min(1.0, model.park_hazard_per_s * dt)
+    p = min(1.0, model.park_hazard_per_s)
     if p <= 0 or rng.random() >= p:
         return False
     v.role = Role.PARKED_SILENT
@@ -284,22 +284,22 @@ class TrafficProcess:
             ]
             self._day_times = np.concatenate(chunks) if chunks else np.empty(0)
 
-    def _spawn_count(self, t: float, dt: float) -> int:
+    def _spawn_count(self, t: float) -> int:
         if self.model.mode == UNIFORM:
-            lam = self.model.arrival_rate_vps * dt
+            lam = self.model.arrival_rate_vps
             return int(self.rng.poisson(lam)) if lam > 0 else 0
         times = self._day_times
         n = 0
-        while self._day_ptr < len(times) and times[self._day_ptr] < t + dt:
+        while self._day_ptr < len(times) and times[self._day_ptr] < t + 1.0:
             if times[self._day_ptr] >= t:
                 n += 1
             self._day_ptr += 1
         return n
 
-    def spawn(self, t: float, dt: float = 1.0) -> list[Vehicle]:
-        """New vehicles for this tick, placed on random usable border cells."""
+    def spawn(self, t: float) -> list[Vehicle]:
+        """New vehicles for the one-second tick at t, placed on random usable border cells."""
         out = []
-        for _ in range(self._spawn_count(t, dt)):
+        for _ in range(self._spawn_count(t)):
             cell = self._border[int(self.rng.integers(len(self._border)))]
             x, y = self.grid.center_of(cell)
             v = Vehicle(
@@ -316,8 +316,8 @@ class TrafficProcess:
             out.append(v)
         return out
 
-    def step(self, v: Vehicle, dt: float = 1.0) -> None:
-        step_vehicle(v, self.grid, self.rng, dt)
+    def step(self, v: Vehicle) -> None:
+        step_vehicle(v, self.grid, self.rng)
 
-    def maybe_park(self, v: Vehicle, t: float, dt: float = 1.0) -> bool:
-        return maybe_park(v, self.model, t, self.rng, dt)
+    def maybe_park(self, v: Vehicle, t: float) -> bool:
+        return maybe_park(v, self.model, t, self.rng)

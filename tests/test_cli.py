@@ -136,6 +136,15 @@ class TestSweep:
         assert "w_zap" in capsys.readouterr().err
         assert not (tmp_path / "run_000").exists()
 
+    def test_seed_axis_exits_2_pointing_to_seeds(self, tmp_path, capsys):
+        # --seeds would override every swept seed, so the rows would repeat one run.
+        out = tmp_path / "out"
+        code = main(["sweep", *TOY, "--out", str(out), "--field", "seed", "--values", "5,9", "--seeds", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--seeds" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         argv = ["sweep", *TOY, "--field", "w_cov", "--values", "0.1,0.5", "--seeds", "1"]
@@ -249,8 +258,20 @@ class TestInferMap:
         ["infer-map", "--log", "no-such-log.csv", "--min-samples", "0"],
         ["infer-map", "--log", "no-such-log.csv"],
         ["sweep", *TOY, "--field", "w_zap", "--values", "1,2"],
+        ["simulate", *TOY, "--seed", "-1"],
+        ["bounds", *TOY, "--set", "seed=-2"],
+        ["sweep", *TOY, "--field", "seed", "--values", "5,9"],
     ],
-    ids=["negative-samples", "empty-population", "min-samples-0", "missing-log", "unknown-field"],
+    ids=[
+        "negative-samples",
+        "empty-population",
+        "min-samples-0",
+        "missing-log",
+        "unknown-field",
+        "negative-seed",
+        "negative-seed-override",
+        "sweep-seed-field",
+    ],
 )
 def test_rejected_invocation_creates_no_output_dir(tmp_path, argv):
     out = tmp_path / "out"

@@ -75,6 +75,13 @@ class TestOverrides:
         with pytest.raises(ConfigurationError, match="max_time_s"):
             RunConfig.default().with_overrides(max_time_s=100.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"sim\.seed"):
+            RunConfig.default().with_overrides(seed=-1)
+        with pytest.raises(ConfigurationError, match=r"sim\.seed"):
+            RunConfig.default().with_overrides(seed="-2")
+        assert RunConfig.default().with_overrides(seed=0).sim.seed == 0
+
     def test_day_profile_run_limited_to_one_day(self):
         # A day profile schedules one day of arrivals; a second day would
         # silently run with none.

@@ -278,6 +278,23 @@ class TestRssiSampling:
     def test_vector_empty_input(self, rng):
         assert sample_rssi_many(np.array([], dtype=int), 3.0, rng).size == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chunks=st.lists(st.lists(st.integers(1, 5), max_size=12), max_size=8),
+        noise_sd=st.floats(0.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_call_over_concatenation_equals_one_call_per_chunk(self, chunks, noise_sd, seed):
+        # The simulation draws one tick's readings for every learner at once.
+        whole = sample_rssi_many(
+            np.array([s for chunk in chunks for s in chunk], dtype=np.int64),
+            noise_sd,
+            np.random.default_rng(seed),
+        )
+        rng = np.random.default_rng(seed)
+        parts = [sample_rssi_many(np.array(chunk, dtype=np.int64), noise_sd, rng) for chunk in chunks]
+        assert whole.tolist() == [int(r) for part in parts for r in part]
+
 
 class TestFootprintCache:
     def test_matches_pairwise_strength(self, one_block, prop):
@@ -312,6 +329,23 @@ class TestFootprintCache:
     def test_cache_returns_same_object(self, one_block, prop):
         cache = FootprintCache(one_block, prop)
         assert cache.footprint(Cell(0, 0)) is cache.footprint(Cell(0, 0))
+
+    def test_rows_match_footprints(self, default_city, prop):
+        cache = FootprintCache(default_city, prop)
+        cells = default_city.usable_cells
+        assert [cache.index[c] for c in cells] == list(range(len(cells)))
+        for c in cells:
+            row = cache.row(c)
+            assert row.shape == (len(cells),) and row.dtype == np.int8
+            assert {cells[i]: int(row[i]) for i in np.flatnonzero(row)} == cache.footprint(c)
+            assert cache.row(c) is row and not row.flags.writeable
+
+    def test_rows_are_symmetric(self, default_city, prop):
+        cache = FootprintCache(default_city, prop)
+        cells = default_city.usable_cells
+        rows = np.stack([cache.row(c) for c in cells])
+        # rows[index[a], index[b]] == row(a)[index[b]]
+        assert np.array_equal(rows, rows.T)
 
 
 class TestSyntheticBeaconLog:

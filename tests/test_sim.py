@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -106,6 +107,23 @@ class TestDeterminism:
         write_metrics_csv(a.metrics, pa)
         write_metrics_csv(b.metrics, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_outputs_pinned(self, short_result_pair, tmp_path):
+        # Digests of a 600 s seed-3 default run. A refactor that must not change
+        # the model keeps them; one that shifts a random stream or a tick rule fails here.
+        a, _ = short_result_pair
+        pinned = {
+            "metrics.csv": "09b1b98f1b9ce2e4e99dbc7c83335151d0b6cde0b12ffa5ca6871f149b9ca591",
+            "lifetimes.csv": "b87ad49119fa90ca1b5ce78ee33ba403d953ed3fdfdd2cf18585a69863e41833",
+            "commands.csv": "7e599769c7dd7fe13fe91c194498e38aa502da8d0c974dcbc34006cfbf8e05e3",
+        }
+        for name, write, rows in (
+            ("metrics.csv", write_metrics_csv, a.metrics),
+            ("lifetimes.csv", write_lifetimes_csv, a.lifetimes),
+            ("commands.csv", write_commands_csv, a.commands),
+        ):
+            write(rows, tmp_path / name)
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned[name], name
 
     def test_different_seed_differs(self, short_result_pair):
         a, _ = short_result_pair

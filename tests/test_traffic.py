@@ -202,7 +202,7 @@ class TestMobility:
         v = make_vehicle(g, Cell(0, 0))
         seen = set()
         for _ in range(40):
-            step_vehicle(v, g, rng, dt=1.0)
+            step_vehicle(v, g, rng)
             seen.add(v.cell)
         assert seen == {Cell(0, 0), Cell(1, 0), Cell(2, 0)}  # bounced off both ends
 
