@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import Cell
 from .maps import CoverageMap
 
 MAX_REVOCATIONS = 2
@@ -150,16 +149,19 @@ def enumerate_solutions(pool: CandidatePool) -> list[CoverageSolution]:
     one and two in lexicographic entity-id order.
     """
     ids = pool.toggleable_ids
+    positions = range(len(ids))
     solutions = []
     for k in range(MAX_REVOCATIONS + 1):
-        for revoked in itertools.combinations(ids, k):
-            active = tuple(i for i in ids if i not in revoked)
+        for cut, revoked in zip(itertools.combinations(positions, k), itertools.combinations(ids, k)):
+            active = ids
+            for p in reversed(cut):
+                active = active[:p] + active[p + 1 :]
             solutions.append(CoverageSolution(active=active, revoked=revoked))
     return solutions
 
 
-def _attribute_step(pool: CandidatePool) -> Callable[[CoverageSolution], SolutionAttributes]:
-    """Build the pool's per-cell tables once; return the per-solution attribute step.
+def _attributes(pool: CandidatePool, solutions: Sequence[CoverageSolution]) -> list[SolutionAttributes]:
+    """The four attributes of every solution, in one pass over the pool's tables.
 
     Scoring merges the maps of a solution's active entities with the
     second-hop context cell by cell, keeping the best strength class and the
@@ -176,70 +178,66 @@ def _attribute_step(pool: CandidatePool) -> Callable[[CoverageSolution], Solutio
     - battery: mean indicator over the entities kept active, the maker
       counting 1.0 (it has not served yet); an empty active set is 1.0.
 
-    Integer tallies divided by one denominator keep the arithmetic exact.
+    The table has one row per map: the toggleable entities in id order, then
+    the second-hop maps, which every solution keeps. Its columns are the
+    levels "reaches the cell at class >= k": k = 1 for every cell any pool
+    map knows, the maker's own cells first, then k = 2..5 for the own cells.
+    The keep-mask times the table counts, per solution and column, the kept
+    maps reaching that level. Level 1 is the contributor count, and a cell's
+    best class is the number of its levels reached. The counts are integers
+    far below 2**24, so the float32 product is exact, and every numerator is
+    an integer tally divided by one denominator.
     Raises UndefinedAttributeError when the maker's own map is empty.
     """
     own_count = len(pool.maker_map.cells)
     if own_count == 0:
         raise UndefinedAttributeError("decision maker's coverage map is empty")
-    index: dict[Cell, int] = {}
-    for m in [pool.maker_map] + [n.coverage for n in pool.neighbors] + list(pool.second_hop):
-        for cell in m.cells:
-            if cell not in index:
-                index[cell] = len(index)
-    n_cells = len(index)
+    ids = pool.toggleable_ids
+    neighbors = {n.entity_id: n for n in pool.neighbors}
+    maps = [pool.maker_map if eid == pool.maker_id else neighbors[eid].coverage for eid in ids]
+    maps += pool.second_hop
+    cells = dict.fromkeys(itertools.chain(pool.maker_map.cells, *(m.cells for m in maps)))
+    column = dict(zip(cells, range(len(cells))))
+    n_cells = len(column)
 
-    rows = [pool.maker_map] + [n.coverage for n in pool.neighbors]
-    strengths = np.zeros((len(rows), n_cells), dtype=np.int16)
-    for i, m in enumerate(rows):
-        for cell, s in m.cells.items():
-            strengths[i, index[cell]] = s
-    hop2_best = np.zeros(n_cells, dtype=np.int16)
-    hop2_count = np.zeros(n_cells, dtype=np.int32)
-    for m in pool.second_hop:
-        for cell, s in m.cells.items():
-            j = index[cell]
-            if s > hop2_best[j]:
-                hop2_best[j] = s
-            hop2_count[j] += 1
-    own_mask = np.zeros(n_cells, dtype=bool)
-    for cell in pool.maker_map.cells:
-        own_mask[index[cell]] = True
+    strength = np.zeros((len(maps), n_cells), dtype=np.int8)
+    strength[
+        np.repeat(np.arange(len(maps)), [len(m.cells) for m in maps]),
+        np.fromiter(map(column.__getitem__, itertools.chain(*(m.cells for m in maps))), np.intp),
+    ] = np.fromiter(itertools.chain(*(m.cells.values() for m in maps)), np.int8)
+    own = strength[:, :own_count]
+    levels = np.concatenate([strength > 0] + [own >= k for k in range(2, 6)], axis=1)
 
-    ids = [pool.maker_id] + [n.entity_id for n in pool.neighbors]
-    row_of = {eid: i for i, eid in enumerate(ids)}
-    batteries = {pool.maker_id: 1.0}
-    for n in pool.neighbors:
-        batteries[n.entity_id] = n.battery
+    row_of = dict(zip(ids, range(len(ids))))
+    keep = np.zeros((len(solutions), len(maps)), dtype=bool)
+    keep[:, len(ids) :] = True
+    keep[
+        np.repeat(np.arange(len(solutions)), [len(s.active) for s in solutions]),
+        np.fromiter(map(row_of.__getitem__, itertools.chain(*(s.active for s in solutions))), np.intp),
+    ] = True
+    reached = (keep.astype(np.float32) @ levels.astype(np.float32)).astype(np.int32)
 
-    def attributes(solution: CoverageSolution) -> SolutionAttributes:
-        sel = [row_of[eid] for eid in solution.active]
-        if sel:
-            active_rows = strengths[sel]
-            best = np.maximum(active_rows.max(axis=0), hop2_best)
-            count = (active_rows > 0).sum(axis=0) + hop2_count
-        else:
-            best = hop2_best
-            count = hop2_count
-        covered = count > 0
-        restricted = covered & own_mask
-        if restricted.any():
-            a_sig = int(best[restricted].sum()) / own_count
-            a_sat = int(count[restricted].sum()) / own_count
-        else:
-            a_sig = 1.0
-            a_sat = 1.0
-        a_cov = int(covered.sum()) / n_cells
-        kept = [batteries[eid] for eid in solution.active]
-        a_bat = sum(kept) / len(kept) if kept else 1.0
-        return SolutionAttributes(a_sig, a_sat, a_cov, a_bat)
-
-    return attributes
+    own_reached = reached[:, :own_count]
+    sat_total = own_reached.sum(axis=1)
+    sig_total = np.count_nonzero(own_reached, axis=1) + np.count_nonzero(reached[:, n_cells:], axis=1)
+    served = sat_total > 0
+    signal = np.where(served, sig_total / own_count, 1.0)
+    saturation = np.where(served, sat_total / own_count, 1.0)
+    coverage = np.count_nonzero(reached[:, :n_cells], axis=1) / n_cells
+    batteries = np.array([1.0 if eid == pool.maker_id else neighbors[eid].battery for eid in ids])
+    kept = keep[:, : len(ids)]
+    # A running sum adds left to right, in id order, as a sum over the active tuple does.
+    battery_total = (kept * batteries).cumsum(axis=1)[:, -1]
+    n_kept = np.count_nonzero(kept, axis=1)
+    battery = np.where(n_kept > 0, battery_total / np.maximum(n_kept, 1), 1.0)
+    return list(
+        map(SolutionAttributes, signal.tolist(), saturation.tolist(), coverage.tolist(), battery.tolist())
+    )
 
 
 def compute_attributes(solution: CoverageSolution, pool: CandidatePool) -> SolutionAttributes:
-    """The four attributes of one solution; see _attribute_step for the rules."""
-    return _attribute_step(pool)(solution)
+    """The four attributes of one solution; see _attributes for the rules."""
+    return _attributes(pool, [solution])[0]
 
 
 def score(attrs: SolutionAttributes, weights: ScoringWeights) -> float:
@@ -275,13 +273,13 @@ def decide(pool: CandidatePool, weights: ScoringWeights) -> Decision:
     """
     solutions = enumerate_solutions(pool)
     try:
-        attributes = _attribute_step(pool)
+        attributes = _attributes(pool, solutions)
     except UndefinedAttributeError:
         pass
     else:
-        for sol in solutions:
-            sol.attrs = attributes(sol)
-            sol.score = score(sol.attrs, weights)
+        for sol, attrs in zip(solutions, attributes):
+            sol.attrs = attrs
+            sol.score = score(attrs, weights)
     no_action_revoked = (pool.maker_id,)
     scored = [s for s in solutions if s.score is not None]
     if scored:

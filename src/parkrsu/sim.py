@@ -4,11 +4,13 @@ One tick is one second. Moving vehicles beacon every tick; every freshly
 parked car listens for a learning period, builds its coverage map, then
 runs one keep/revoke decision over the active roadside units it can hear.
 The loop applies at most one decision per tick, atomically, and samples
-network metrics every tick.
+network metrics every tick; a tick that changes no role reuses the last
+sample with the new time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 import math
@@ -151,6 +153,7 @@ class Simulation:
         self._footprints = FootprintCache(self.grid, self.prop)
         # _counts[i, s]: active units reaching usable cell i at class s (0: not reaching).
         self._counts = np.zeros((self.grid.usable_count, 6), dtype=np.int32)
+        self._counts_changed = True  # since the last metrics sample
         self._cell_area = self.grid.cell_size_m**2
 
         self._vehicles: dict[int, Vehicle] = {}  # parked cars, in parking order
@@ -269,7 +272,11 @@ class Simulation:
             return
 
     def _phase_metrics(self, t: float) -> None:
-        sample = self._compute_metrics(t)
+        if self._counts_changed:
+            sample = self._compute_metrics(t)
+            self._counts_changed = False
+        else:
+            sample = dataclasses.replace(self.metrics[-1], t=t)
         self.metrics.append(sample)
         if int(t) % 100 == 0:
             self._verify_ledger(sample, t)
@@ -283,9 +290,15 @@ class Simulation:
         return msg
 
     def _gather_pool(self, maker: Vehicle, t: float) -> CandidatePool:
-        fp = self._footprints.footprint(maker.cell)
-        one_hop = [vid for vid, v in self._active.items() if v.cell in fp]
-        one_hop.sort()
+        fps = self._footprints
+        active = list(self._active.values())
+        at = [fps.index[v.cell] for v in active]
+
+        def reached_from(cell: Cell) -> list[Vehicle]:
+            """Active units in reach of cell, in activation order."""
+            return [active[i] for i in np.flatnonzero(fps.row(cell).take(at)).tolist()]
+
+        one_hop = sorted(v.vid for v in reached_from(maker.cell))
         neighbors = []
         second: dict[int, CoverageMap] = {}
         excluded = set(one_hop)
@@ -297,12 +310,7 @@ class Simulation:
             )
             if request is None:
                 continue
-            nfp = self._footprints.footprint(nveh.cell)
-            forwarded = [
-                (mid, self._learned[mid])
-                for mid, mveh in self._active.items()
-                if mid != nid and mveh.cell in nfp
-            ]
+            forwarded = [(m.vid, self._learned[m.vid]) for m in reached_from(nveh.cell) if m.vid != nid]
             battery = battery_indicator(t - nveh.rsu_active_since, self.policy)
             response = self._deliver(
                 Message(
@@ -353,6 +361,7 @@ class Simulation:
         v.rsu_active_since = t
         self._active[vid] = v
         self._counts += self._tally([v.cell])
+        self._counts_changed = True
         if not math.isinf(self.policy.max_time_s):
             heapq.heappush(self._forced, (t + self.policy.max_time_s, vid))
         self.assignments += 1
@@ -363,6 +372,7 @@ class Simulation:
         v.role = Role.PARKED_SILENT
         v.rsu_active_since = None
         self._counts -= self._tally([v.cell])
+        self._counts_changed = True
 
     def _tally(self, cells: Sequence[Cell]) -> np.ndarray:
         """Per usable cell and class, how many units at cells reach it at that class."""
@@ -398,7 +408,11 @@ class Simulation:
         )
 
     def _verify_ledger(self, sample: MetricsSample, t: float) -> None:
-        """Recompute the coverage tallies from scratch; they must match exactly."""
+        """Recompute the coverage tallies and the tick's sample from scratch.
+
+        Both must match exactly: the tallies the ledger, and the sample the
+        one _phase_metrics recorded, which may be a reused earlier sample.
+        """
         if not np.array_equal(self._tally([v.cell for v in self._active.values()]), self._counts):
             raise RuntimeError(f"coverage ledger out of sync at t={t}")
         again = self._compute_metrics(t)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parkrsu
 from parkrsu.cli import SWEEP_HEADER, main
 from parkrsu.config import RunConfig, build_grid, build_propagation
 from parkrsu.maps import write_beacon_log
@@ -281,11 +284,16 @@ def test_rejected_invocation_creates_no_output_dir(tmp_path, argv):
 
 class TestEntryPoint:
     def test_module_invocation_runs_end_to_end(self, tmp_path):
+        # The child imports the package these tests import, installed or not.
+        package_root = str(Path(parkrsu.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "parkrsu", "simulate", *TOY,
              "--duration", "30", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "metrics.csv").exists()

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import parkrsu.decision
 from parkrsu.decision import (
     MAX_REVOCATIONS,
     ActiveRsu,
@@ -293,6 +296,73 @@ class TestDecide:
                 assert assigns == []
             neighbor_ids = {n.entity_id for n in pool.neighbors}
             assert {c.target_id for c in revokes} == neighbor_ids - set(d.chosen.active)
+
+
+GRID_8X8 = [Cell(x, y) for x in range(8) for y in range(8)]
+
+
+@st.composite
+def large_pools(draw):
+    """Pools of up to 16 toggleable entities and up to 20 second-hop maps.
+
+    Entity ids are shuffled, so the maker is not always the lowest. Some
+    neighbours and second-hop maps copy an earlier neighbour's map (and its
+    battery), so alternatives that differ only in which copy they keep tie
+    exactly. Batteries are multiples of 1/64 below 1: their sums are exact
+    in any order, so those ties stay exact in the oracle's order too.
+    """
+
+    def coverage(owner):
+        picked = draw(st.lists(st.integers(0, len(GRID_8X8) - 1), min_size=1, max_size=24, unique=True))
+        return CoverageMap(owner, {GRID_8X8[i]: draw(st.integers(1, 5)) for i in picked})
+
+    n_neighbors = draw(st.integers(0, 15))
+    maker_id, *neighbor_ids = draw(st.permutations(range(1, 17)))[: n_neighbors + 1]
+    neighbors = []
+    for i, eid in enumerate(neighbor_ids):
+        twin = draw(st.none() | st.integers(0, i - 1)) if i else None
+        if twin is None:
+            neighbors.append(ActiveRsu(eid, coverage(eid), draw(st.integers(0, 63)) / 64))
+        else:
+            copied = neighbors[twin]
+            neighbors.append(ActiveRsu(eid, CoverageMap(eid, dict(copied.coverage.cells)), copied.battery))
+    second_hop = []
+    for j in range(draw(st.integers(0, 20))):
+        twin = draw(st.none() | st.integers(0, len(neighbors) - 1)) if neighbors else None
+        cells = coverage(100 + j).cells if twin is None else neighbors[twin].coverage.cells
+        second_hop.append(CoverageMap(100 + j, dict(cells)))
+    return CandidatePool(maker_id, coverage(maker_id), tuple(neighbors), tuple(second_hop))
+
+
+class TestBatchedScoringLargePools:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=large_pools(),
+        weights=st.sampled_from(
+            [
+                ScoringWeights(1.0, 0.2, 0.3, 0.7),
+                ScoringWeights(1.0, 0.0, 0.3, 0.5),
+                ScoringWeights(1.0, 0.4, 0.1, 2.5),
+            ]
+        ),
+    )
+    def test_matches_oracles(self, pool, weights):
+        for s in enumerate_solutions(pool):
+            assert compute_attributes(s, pool) == oracles.oracle_attributes(pool, s)
+        scored = []
+
+        def enumerate_and_keep(p):
+            scored.append(enumerate_solutions(p))
+            return scored[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parkrsu.decision, "enumerate_solutions", enumerate_and_keep)
+            d = decide(pool, weights)
+        assert (d.chosen.active, d.chosen.revoked) == oracles.oracle_decide(pool, weights)
+        [solutions] = scored
+        assert len(solutions) == oracles.solution_count(len(pool.neighbors) + 1)
+        assert all(s.attrs is not None and s.score is not None for s in solutions)
+        assert any(s is d.chosen for s in solutions)
 
 
 def random_pool(rng):

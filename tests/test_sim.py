@@ -66,6 +66,19 @@ def short_result_pair():
     return Simulation(cfg).run(), Simulation(cfg).run()
 
 
+def output_digests(result, directory) -> dict[str, str]:
+    """SHA-256 of the metrics, lifetimes and commands files written for result."""
+    digests = {}
+    for name, write, rows in (
+        ("metrics.csv", write_metrics_csv, result.metrics),
+        ("lifetimes.csv", write_lifetimes_csv, result.lifetimes),
+        ("commands.csv", write_commands_csv, result.commands),
+    ):
+        write(rows, directory / name)
+        digests[name] = hashlib.sha256((directory / name).read_bytes()).hexdigest()
+    return digests
+
+
 class TestZeroArrival:
     def test_all_metrics_zero_and_empty(self):
         cfg = make_config(arrival_rate_vps=0.0, duration_s=300.0)
@@ -112,18 +125,31 @@ class TestDeterminism:
         # Digests of a 600 s seed-3 default run. A refactor that must not change
         # the model keeps them; one that shifts a random stream or a tick rule fails here.
         a, _ = short_result_pair
-        pinned = {
+        assert output_digests(a, tmp_path) == {
             "metrics.csv": "09b1b98f1b9ce2e4e99dbc7c83335151d0b6cde0b12ffa5ca6871f149b9ca591",
             "lifetimes.csv": "b87ad49119fa90ca1b5ce78ee33ba403d953ed3fdfdd2cf18585a69863e41833",
             "commands.csv": "7e599769c7dd7fe13fe91c194498e38aa502da8d0c974dcbc34006cfbf8e05e3",
         }
-        for name, write, rows in (
-            ("metrics.csv", write_metrics_csv, a.metrics),
-            ("lifetimes.csv", write_lifetimes_csv, a.lifetimes),
-            ("commands.csv", write_commands_csv, a.commands),
-        ):
-            write(rows, tmp_path / name)
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned[name], name
+
+    def test_wide_range_churn_outputs_pinned(self, tmp_path):
+        # The same pin on the regime where decisions dominate: doubled radio
+        # range and near one parking per second give pools of up to 18
+        # audible units and 257 revocations. The digests keep the scoring,
+        # its tie-breaks and the pool gathering from moving.
+        cfg = make_config(
+            duration_s=600.0,
+            seed=3,
+            range_multiplier=2.0,
+            arrival_rate_vps=0.9,
+            target_moving_vehicles=20.0,
+            w_sat=0.0,
+        )
+        result = Simulation(cfg).run()
+        assert output_digests(result, tmp_path) == {
+            "metrics.csv": "4adfc6dc1a9e4bb7ec8c76fc2ce197253d5af6017935900739aa4549c0aabaac",
+            "lifetimes.csv": "4b71709b3467fa5d1a4d97b762cf9bb8b2cbe6e8bb8070e5ab72f0a244ba30d6",
+            "commands.csv": "a77053557b2f854d681e25966055457e784221056537a02c14478edc647275d5",
+        }
 
     def test_different_seed_differs(self, short_result_pair):
         a, _ = short_result_pair
@@ -397,6 +423,32 @@ class TestLedgerTripwire:
         sim._counts[7, 3] += 1
         with pytest.raises(RuntimeError):
             for t in range(150, 250):
+                sim._tick(float(t))
+
+
+class TestMetricsCache:
+    def test_reused_samples_equal_recomputed_every_tick(self):
+        # A tick that changes no role reuses the previous sample with the new
+        # time; it must equal a from-scratch computation on every tick, not
+        # only at the 100-tick ledger checkpoints.
+        sim = Simulation(
+            make_config(duration_s=300.0, seed=5, range_multiplier=2.0, arrival_rate_vps=0.9)
+        )
+        kinds = set()
+        for t in range(300):
+            before = (sim.assignments, len(sim.lifetimes))
+            sim._tick(float(t))
+            kinds.add((sim.assignments, len(sim.lifetimes)) != before)
+            assert sim.metrics[-1] == sim._compute_metrics(float(t)), t
+        assert kinds == {True, False}
+
+    def test_corrupted_cached_sample_detected_at_checkpoint(self):
+        sim = Simulation(make_config(arrival_rate_vps=0.0, duration_s=300.0))
+        for t in range(50):
+            sim._tick(float(t))
+        sim.metrics[-1].coverage_pct = 0.5
+        with pytest.raises(RuntimeError, match="metrics recomputation mismatch at t=100"):
+            for t in range(50, 150):
                 sim._tick(float(t))
 
 
