@@ -180,6 +180,11 @@ class FootprintCache:
     so the same table answers both "whom do I cover" and "whom do I hear".
     row(c) is the same footprint as one int8 class per usable cell (0 out of
     reach), positioned by index; coverage tallies and beacon hearing read rows.
+
+    Footprints equal strength() over every usable target. They are computed
+    with one gather over an offset stencil: distance classes and the cells a
+    line of sight crosses depend only on the offset between the two cells,
+    so both are tabulated once per cache, on the first computed footprint.
     """
 
     def __init__(self, grid: CityGrid, cfg: PropagationConfig):
@@ -189,6 +194,7 @@ class FootprintCache:
         self._rows: dict[Cell, np.ndarray] = {}
         self.index = {c: i for i, c in enumerate(grid.usable_cells)}
         self._radius_cells = int(math.ceil(cfg.max_range_m / grid.cell_size_m))
+        self._stencil: _Stencil | None = None
 
     def footprint(self, cell: Cell) -> dict[Cell, int]:
         fp = self._cache.get(cell)
@@ -207,18 +213,68 @@ class FootprintCache:
         return row
 
     def _compute(self, cell: Cell) -> dict[Cell, int]:
-        grid = self.grid
-        r = self._radius_cells
-        fp: dict[Cell, int] = {}
-        for x in range(cell.x - r, cell.x + r + 1):
-            for y in range(cell.y - r, cell.y + r + 1):
-                target = Cell(x, y)
-                if not grid.contains(target) or not grid.is_usable(target):
+        if not self.grid.contains(cell):
+            raise OutOfBoundsError(f"tx cell {tuple(cell)} outside grid")
+        st = self._stencil
+        if st is None:
+            st = self._stencil = _Stencil(self.grid, self.cfg, self._radius_cells)
+        origin = self.grid.origin
+        # Flat position of the source in the padded masks; targets and crossed
+        # cells are the stencil's flat offsets from it.
+        at = (cell.x - origin.x + st.r) * st.stride + (cell.y - origin.y + st.r)
+        keep = st.usable[at + st.target]
+        cls = st.cls[keep]
+        if self.cfg.nlos_penalty:
+            blocked = (st.obstruction[at + st.crossed[keep]] & st.crossed_valid[keep]).any(axis=1)
+            # strength() floors a blocked class at 0; below 1 it is dropped either way.
+            cls = cls - self.cfg.nlos_penalty * blocked
+        reach = cls >= 1
+        xs = (st.dx[keep][reach] + cell.x).tolist()
+        ys = (st.dy[keep][reach] + cell.y).tolist()
+        return {Cell(x, y): s for x, y, s in zip(xs, ys, cls[reach].tolist())}
+
+
+class _Stencil:
+    """Per-offset distance classes and crossed cells for one footprint radius.
+
+    Offsets (dx, dy) within the radius whose distance class is at least 1,
+    in x-major order. usable and obstruction are the grid masks padded by r
+    cells of False on every side and flattened, so every target and crossed
+    cell of an in-grid source is a flat index offset from the source.
+    """
+
+    def __init__(self, grid: CityGrid, cfg: PropagationConfig, r: int):
+        self.r = r
+        self.stride = grid.height + 2 * r
+        self.usable = np.pad(grid.usable, r).ravel()
+        self.obstruction = np.pad(grid.obstruction, r).ravel()
+        e1, e2, e3, e4 = cfg.band_edges_m
+        offsets: list[tuple[int, int, int]] = []
+        paths: list[list[Cell]] = []
+        for dx in range(-r, r + 1):
+            for dy in range(-r, r + 1):
+                # The same comparisons as strength(), on the same distance.
+                d = math.hypot(dx, dy) * grid.cell_size_m
+                if dx == dy == 0 or d <= e1:
+                    cls = MAX_STRENGTH
+                elif d <= e2:
+                    cls = 4
+                elif d <= e3:
+                    cls = 3
+                elif d <= e4:
+                    cls = 2
+                else:
                     continue
-                s = strength(cell, target, grid, self.cfg)
-                if s >= 1:
-                    fp[target] = s
-        return fp
+                offsets.append((dx, dy, cls))
+                paths.append(cells_on_segment(Cell(0, 0), Cell(dx, dy))[1:-1])
+        self.dx, self.dy, self.cls = np.array(offsets, dtype=np.int64).T
+        self.target = self.dx * self.stride + self.dy
+        width = max(len(p) for p in paths)
+        self.crossed = np.zeros((len(paths), width), dtype=np.int64)
+        self.crossed_valid = np.zeros((len(paths), width), dtype=bool)
+        for i, path in enumerate(paths):
+            self.crossed[i, : len(path)] = [c.x * self.stride + c.y for c in path]
+            self.crossed_valid[i, : len(path)] = True
 
 
 def synthesize_beacon_log(

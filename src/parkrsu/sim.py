@@ -523,8 +523,13 @@ def random_assignment_bounds(
         keep = rng.choice(len(fill_cells), size=config.sim.bounds_fill_count, replace=False)
         fill_cells = [fill_cells[int(i)] for i in sorted(keep)]
     n_cars = len(fill_cells)
+    # Cars parked on one cell share its footprint row, so the products run
+    # over distinct cells, weighted by how many chosen cars stand on each.
+    slot: dict[Cell, int] = {}
+    car_at = np.array([slot.setdefault(cell, len(slot)) for cell in fill_cells], dtype=np.intp)
+    distinct = list(slot)
 
-    footprints = np.array([cache.row(cell) for cell in fill_cells])
+    footprints = np.array([cache.row(cell) for cell in distinct])
     by_class = [(footprints == s).astype(np.float32) for s in range(1, 6)]
 
     samples: list[tuple[float, float]] = []
@@ -555,9 +560,7 @@ def random_assignment_bounds(
             skipped += 1
             continue
         chosen = rng.choice(n_cars, size=k, replace=False)
-        row = np.zeros(n_cars, dtype=np.float32)
-        row[chosen] = 1.0
-        pending_rows.append(row)
+        pending_rows.append(np.bincount(car_at[chosen], minlength=len(distinct)).astype(np.float32))
         if len(pending_rows) >= batch_size:
             flush()
     flush()

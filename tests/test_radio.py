@@ -347,6 +347,63 @@ class TestFootprintCache:
         # rows[index[a], index[b]] == row(a)[index[b]]
         assert np.array_equal(rows, rows.T)
 
+    @pytest.mark.parametrize("source", [Cell(-1, 0), Cell(1000, 1000)], ids=["near", "far"])
+    def test_source_outside_grid_rejected(self, default_city, prop, source):
+        # A far source has no in-grid cell in its window, so nothing else would reject it.
+        cache = FootprintCache(default_city, prop)
+        with pytest.raises(OutOfBoundsError):
+            cache.footprint(source)
+        with pytest.raises(OutOfBoundsError):
+            cache.row(source)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.integers(1, 9),
+        height=st.integers(1, 9),
+        origin=st.tuples(st.integers(-20, -1), st.integers(-20, -1)),
+        kinds=st.lists(st.sampled_from(["ground", "road", "building"]), min_size=81, max_size=81),
+        cell_size_m=st.floats(7.0, 45.0),
+        range_multiplier=st.floats(0.5, 3.0),
+        half_cells=st.one_of(
+            st.none(),
+            st.lists(st.integers(1, 14), min_size=4, max_size=4, unique=True).map(sorted),
+        ),
+        reach_cells=st.floats(1.0, 5.0),
+        nlos_penalty=st.integers(0, 3),
+    )
+    def test_stencil_kernel_matches_pairwise_strength(
+        self, width, height, origin, kinds, cell_size_m, range_multiplier, half_cells, reach_cells, nlos_penalty
+    ):
+        # Explicit band edges sit on multiples of half a cell, so straight and
+        # some diagonal offsets land exactly on an edge; the default edges
+        # are plain fractions of the range.
+        kind = np.array(kinds[: width * height]).reshape(width, height)
+        usable, obstruction = kind == "road", kind == "building"
+        if not usable.any():
+            usable[0, 0], obstruction[0, 0] = True, False
+        g = CityGrid(width, height, usable, obstruction, origin=Cell(*origin), cell_size_m=cell_size_m)
+        if half_cells is None:
+            cfg = PropagationConfig(
+                base_range_m=reach_cells * cell_size_m,
+                range_multiplier=range_multiplier,
+                nlos_penalty=nlos_penalty,
+            )
+        else:
+            edges = tuple(h * cell_size_m / 2 for h in half_cells)
+            cfg = PropagationConfig(
+                base_range_m=edges[-1] / range_multiplier,
+                range_multiplier=range_multiplier,
+                nlos_penalty=nlos_penalty,
+                band_edges_m=edges,
+            )
+        cache = FootprintCache(g, cfg)
+        cells = g.usable_cells
+        for a in cells:
+            expected = {b: strength(a, b, g, cfg) for b in cells if strength(a, b, g, cfg) >= 1}
+            assert cache.footprint(a) == expected
+            row = cache.row(a)
+            assert {cells[i]: int(row[i]) for i in np.flatnonzero(row)} == expected
+
 
 class TestSyntheticBeaconLog:
     def test_rows_match_declared_truth(self, one_block, prop, rng):

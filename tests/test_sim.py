@@ -580,6 +580,36 @@ class TestRandomAssignmentBounds:
         assert warm
         assert warm == [v.cell for v in sim._vehicles.values()]
 
+    def test_samples_replay_the_sampler_stream(self, tmp_path):
+        # Doubled range on a small city: the fill subsample puts several cars
+        # on one cell, so the sampler's per-cell products weigh a cell by its
+        # car count. Replaying its draws and merging every chosen set by hand
+        # must give every sample, exactly and in order.
+        cfg = make_config(blocks_x=3, blocks_y=3, range_multiplier=2.0, discard_s=600.0, bounds_fill_count=40, seed=11)
+        result = random_assignment_bounds(cfg, 400)
+
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.sim.seed, 2]))
+        grid = build_grid(cfg)
+        fill = _warmed_up_parked_cells(cfg, rng, grid)
+        assert len(fill) > cfg.sim.bounds_fill_count
+        keep = rng.choice(len(fill), size=cfg.sim.bounds_fill_count, replace=False)
+        fill = [fill[int(i)] for i in sorted(keep)]
+        assert result.fill_cells == fill
+        assert len(set(fill)) < len(fill)
+        cache = FootprintCache(grid, build_propagation(cfg))
+        expected = []
+        for _ in range(400):
+            k = int(rng.integers(0, len(fill) + 1))
+            if k:
+                chosen = rng.choice(len(fill), size=k, replace=False)
+                expected.append(merged_means([fill[int(i)] for i in chosen], cache))
+        assert result.samples == expected
+
+        # A change that must not move the sampler keeps this run's bounds.csv.
+        write_bounds_csv(result.samples, tmp_path / "bounds.csv")
+        digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
+        assert digest == "06294b633a101f42887c5e495c8b2bd0d1f76148887fc7868fc3fbaec1445357"
+
     def test_deterministic_for_fixed_seed(self):
         cfg = toy_config(bounds_fill_count=6)
         a = random_assignment_bounds(cfg, 200)
