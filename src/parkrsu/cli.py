@@ -149,10 +149,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_point(payload: tuple[RunConfig, str, str, int]) -> tuple[str, int, RunResult]:
+def _sweep_point(payload: tuple[RunConfig, str, str, int]) -> tuple[RunConfig, RunResult]:
     base, field_name, value, seed = payload
     cfg = base.with_overrides(**{field_name: value, "seed": seed})
-    return value, seed, run(cfg)
+    return cfg, run(cfg)
 
 
 _SWEEP_METRICS = ("active_rsus", "coverage_pct", "mean_signal", "mean_saturation", "area_per_rsu_m2")
@@ -181,10 +181,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     by_value: dict[str, list] = {}
-    for i, (value, seed, result) in enumerate(outcomes):
+    for i, ((_, _, value, seed), (cfg, result)) in enumerate(zip(payloads, outcomes)):
         run_dir = os.path.join(out, f"run_{i:03d}")
         os.makedirs(run_dir, exist_ok=True)
-        cfg = base.with_overrides(**{args.field: value, "seed": seed})
         _write_run_artifacts(cfg, result, run_dir)
         try:
             s = steady_state_stats(result.metrics, cfg.sim.discard_s)

@@ -167,8 +167,8 @@ class RunConfig:
             raise ConfigurationError("radio.range_multiplier must be positive")
         if r.nlos_penalty < 0:
             raise ConfigurationError("radio.nlos_penalty must be non-negative")
-        if r.noise_sd < 0:
-            raise ConfigurationError("radio.noise_sd must be non-negative")
+        if not math.isfinite(r.noise_sd) or r.noise_sd < 0:
+            raise ConfigurationError("radio.noise_sd must be finite and non-negative")
         if self.maps.min_samples < 1:
             raise ConfigurationError("maps.min_samples must be >= 1")
         d = self.decision
@@ -190,8 +190,9 @@ class RunConfig:
             raise ConfigurationError("traffic.target_moving_vehicles must be positive")
         if t.mean_duration_s <= 0:
             raise ConfigurationError("traffic.mean_duration_s must be positive")
-        if t.speed_mps <= 0:
-            raise ConfigurationError("traffic.speed_mps must be positive")
+        if not math.isfinite(t.speed_mps) or t.speed_mps <= 0:
+            # An infinite speed never uses up a step's distance budget.
+            raise ConfigurationError("traffic.speed_mps must be finite and positive")
         if t.daily_total < 0:
             raise ConfigurationError("traffic.daily_total must be non-negative")
         if t.cruise_mean_s <= 0:
@@ -253,11 +254,15 @@ def _coerce(section: str, key: str, raw, ftype):
             raise ValueError(text)
         if ftype is int:
             return int(str(raw).strip())
-        if ftype is float:
-            return float(str(raw).strip())
-        return str(raw)
+        if ftype is not float:
+            return str(raw)
+        value = float(str(raw).strip())
     except ValueError:
         raise ConfigurationError(f"{section}.{key}: cannot parse {raw!r}") from None
+    # NaN passes every range check in validate, because it compares false.
+    if math.isnan(value):
+        raise ConfigurationError(f"{section}.{key}: NaN is not a value")
+    return value
 
 
 def build_grid(cfg: RunConfig) -> CityGrid:

@@ -160,6 +160,37 @@ def enumerate_solutions(pool: CandidatePool) -> list[CoverageSolution]:
     return solutions
 
 
+_LEVELS = np.arange(1, 6, dtype=np.int8)
+
+
+def reach_levels(classes: np.ndarray) -> np.ndarray:
+    """Levels "reaches the cell at class >= k", k = 1..5, on a new last axis.
+
+    Summing the levels of several maps cell by cell merges them: level 1
+    counts the contributors, and the number of levels any of them reaches
+    is the best class.
+    """
+    # Compared level by level, so each comparison runs over every cell at
+    # once; the level axis then moves last as a view.
+    levels = classes >= _LEVELS.reshape((5,) + (1,) * classes.ndim)
+    return levels.transpose(*range(1, classes.ndim + 1), 0)
+
+
+def merged_totals(reached: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covered cells, summed best class and summed contributor count of a merge.
+
+    reached[..., cell, k - 1] counts the merged maps that reach the cell at
+    class >= k, as summed reach_levels; the totals run over the last two
+    axes. Every entry is a small integer, so float tables sum exactly.
+    """
+    level_1 = reached[..., 0]
+    return (
+        np.count_nonzero(level_1, axis=-1),
+        np.count_nonzero(reached, axis=(-2, -1)),
+        level_1.sum(axis=-1),
+    )
+
+
 def _attributes(pool: CandidatePool, solutions: Sequence[CoverageSolution]) -> list[SolutionAttributes]:
     """The four attributes of every solution, in one pass over the pool's tables.
 
@@ -180,13 +211,14 @@ def _attributes(pool: CandidatePool, solutions: Sequence[CoverageSolution]) -> l
 
     The table has one row per map: the toggleable entities in id order, then
     the second-hop maps, which every solution keeps. Its columns are the
-    levels "reaches the cell at class >= k": k = 1 for every cell any pool
-    map knows, the maker's own cells first, then k = 2..5 for the own cells.
-    The keep-mask times the table counts, per solution and column, the kept
-    maps reaching that level. Level 1 is the contributor count, and a cell's
-    best class is the number of its levels reached. The counts are integers
-    far below 2**24, so the float32 product is exact, and every numerator is
-    an integer tally divided by one denominator.
+    reach_levels of the maker's own cells, then level 1 alone for every
+    other cell any pool map knows. The keep-mask times the table merges, per
+    solution, the kept maps; merged_totals of the own-cell part gives the
+    signal and saturation numerators and the own covered cells, and the
+    other cells' non-zero level-1 counts complete the coverage numerator.
+    The counts are integers far below 2**24, so the float32 product is
+    exact, and every numerator is an integer tally divided by one
+    denominator.
     Raises UndefinedAttributeError when the maker's own map is empty.
     """
     own_count = len(pool.maker_map.cells)
@@ -205,8 +237,8 @@ def _attributes(pool: CandidatePool, solutions: Sequence[CoverageSolution]) -> l
         np.repeat(np.arange(len(maps)), [len(m.cells) for m in maps]),
         np.fromiter(map(column.__getitem__, itertools.chain(*(m.cells for m in maps))), np.intp),
     ] = np.fromiter(itertools.chain(*(m.cells.values() for m in maps)), np.int8)
-    own = strength[:, :own_count]
-    levels = np.concatenate([strength > 0] + [own >= k for k in range(2, 6)], axis=1)
+    own_levels = reach_levels(strength[:, :own_count]).reshape(len(maps), 5 * own_count)
+    levels = np.concatenate([own_levels, strength[:, own_count:] > 0], axis=1)
 
     row_of = dict(zip(ids, range(len(ids))))
     keep = np.zeros((len(solutions), len(maps)), dtype=bool)
@@ -217,13 +249,16 @@ def _attributes(pool: CandidatePool, solutions: Sequence[CoverageSolution]) -> l
     ] = True
     reached = (keep.astype(np.float32) @ levels.astype(np.float32)).astype(np.int32)
 
-    own_reached = reached[:, :own_count]
-    sat_total = own_reached.sum(axis=1)
-    sig_total = np.count_nonzero(own_reached, axis=1) + np.count_nonzero(reached[:, n_cells:], axis=1)
+    own_covered, sig_total, sat_total = merged_totals(
+        reached[:, : 5 * own_count].reshape(len(solutions), own_count, 5)
+    )
+    # The other cells are tabled at level 1 alone, so their covered count is
+    # all they contribute; merged_totals would also sum two unused totals.
+    other_covered = np.count_nonzero(reached[:, 5 * own_count :], axis=1)
     served = sat_total > 0
     signal = np.where(served, sig_total / own_count, 1.0)
     saturation = np.where(served, sat_total / own_count, 1.0)
-    coverage = np.count_nonzero(reached[:, :n_cells], axis=1) / n_cells
+    coverage = (own_covered + other_covered) / n_cells
     batteries = np.array([1.0 if eid == pool.maker_id else neighbors[eid].battery for eid in ids])
     kept = keep[:, : len(ids)]
     # A running sum adds left to right, in id order, as a sum over the active tuple does.

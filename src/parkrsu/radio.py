@@ -58,6 +58,8 @@ class PropagationConfig:
             edges = tuple(float(e) for e in self.band_edges_m)
             if len(edges) != 4:
                 raise ConfigurationError("band_edges_m must hold exactly four distances")
+            if not edges[0] > 0:
+                raise ConfigurationError("band_edges_m must start above zero")
             if any(b <= a for a, b in zip(edges, edges[1:])):
                 raise ConfigurationError("band_edges_m must be strictly increasing")
             if not math.isclose(edges[-1], max_range, rel_tol=1e-9):
@@ -162,7 +164,13 @@ def sample_rssi(s: int, noise_sd: float, rng: np.random.Generator) -> int:
 
 
 def sample_rssi_many(classes: np.ndarray, noise_sd: float, rng: np.random.Generator) -> np.ndarray:
-    """Vector form of sample_rssi for a batch of strength classes (all >= 1)."""
+    """Vector form of sample_rssi for a batch of strength classes (all >= 1).
+
+    A zero noise_sd gives every class its RSSI center; a negative or NaN
+    one raises ValueError.
+    """
+    if not noise_sd >= 0:
+        raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
     classes = np.asarray(classes)
     if classes.size and classes.min() < 1:
         raise NoBeaconError("no beacon is received at strength class 0")

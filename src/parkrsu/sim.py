@@ -34,6 +34,8 @@ from .decision import (
     RoleCommand,
     battery_indicator,
     decide,
+    merged_totals,
+    reach_levels,
 )
 from .errors import ConfigurationError
 from .grid import Cell, CityGrid
@@ -151,8 +153,8 @@ class Simulation:
             self.model, self.grid, self._rng_traffic, speed_mps=config.traffic.speed_mps
         )
         self._footprints = FootprintCache(self.grid, self.prop)
-        # _counts[i, s]: active units reaching usable cell i at class s (0: not reaching).
-        self._counts = np.zeros((self.grid.usable_count, 6), dtype=np.int32)
+        # _counts[i, k - 1]: active units reaching usable cell i at class >= k (see reach_levels).
+        self._counts = np.zeros((self.grid.usable_count, 5), dtype=np.int32)
         self._counts_changed = True  # since the last metrics sample
         self._cell_area = self.grid.cell_size_m**2
 
@@ -360,7 +362,7 @@ class Simulation:
         v.role = Role.PARKED_RSU
         v.rsu_active_since = t
         self._active[vid] = v
-        self._counts += self._tally([v.cell])
+        self._counts += reach_levels(self._footprints.row(v.cell))
         self._counts_changed = True
         if not math.isinf(self.policy.max_time_s):
             heapq.heappush(self._forced, (t + self.policy.max_time_s, vid))
@@ -371,32 +373,17 @@ class Simulation:
         self.lifetimes.append(RsuLifetimeRecord(vid, v.rsu_active_since, t, cause))
         v.role = Role.PARKED_SILENT
         v.rsu_active_since = None
-        self._counts -= self._tally([v.cell])
+        self._counts -= reach_levels(self._footprints.row(v.cell))
         self._counts_changed = True
-
-    def _tally(self, cells: Sequence[Cell]) -> np.ndarray:
-        """Per usable cell and class, how many units at cells reach it at that class."""
-        n = self.grid.usable_count
-        rows = np.array([self._footprints.row(c) for c in cells], dtype=np.intp).reshape(len(cells), n)
-        # A unit reaching position i at class s (0: out of reach) counts at flat index 6 * i + s.
-        return np.bincount((rows + np.arange(0, 6 * n, 6)).ravel(), minlength=6 * n).reshape(n, 6)
 
     # metrics
 
     def _compute_metrics(self, t: float) -> MetricsSample:
-        contrib = self._counts[:, 1:]
-        sat = contrib.sum(axis=1)
-        covered = sat > 0
-        n_cov = int(covered.sum())
+        n_cov, best_total, contributors = (int(x) for x in merged_totals(self._counts))
         n_usable = self._counts.shape[0]
         n_active = len(self._active)
-        if n_cov:
-            best = ((contrib > 0) * np.arange(1, 6)).max(axis=1)
-            mean_signal = float(best.sum() / n_cov)
-            mean_sat = float(sat.sum() / n_cov)
-        else:
-            mean_signal = 0.0
-            mean_sat = 0.0
+        mean_signal = best_total / n_cov if n_cov else 0.0
+        mean_sat = contributors / n_cov if n_cov else 0.0
         area = n_cov * self._cell_area / n_active if n_active else 0.0
         return MetricsSample(
             t=t,
@@ -413,7 +400,10 @@ class Simulation:
         Both must match exactly: the tallies the ledger, and the sample the
         one _phase_metrics recorded, which may be a reused earlier sample.
         """
-        if not np.array_equal(self._tally([v.cell for v in self._active.values()]), self._counts):
+        rows = np.array([self._footprints.row(v.cell) for v in self._active.values()], dtype=np.int8)
+        rows = rows.reshape(len(self._active), self.grid.usable_count)
+        recount = reach_levels(rows).sum(axis=0, dtype=np.int32)
+        if not np.array_equal(recount, self._counts):
             raise RuntimeError(f"coverage ledger out of sync at t={t}")
         again = self._compute_metrics(t)
         if again != sample:
@@ -524,33 +514,27 @@ def random_assignment_bounds(
         fill_cells = [fill_cells[int(i)] for i in sorted(keep)]
     n_cars = len(fill_cells)
     # Cars parked on one cell share its footprint row, so the products run
-    # over distinct cells, weighted by how many chosen cars stand on each.
+    # over distinct cells, weighted by how many chosen cars stand on each:
+    # car counts times the level table are the chosen network's summed levels.
     slot: dict[Cell, int] = {}
     car_at = np.array([slot.setdefault(cell, len(slot)) for cell in fill_cells], dtype=np.intp)
     distinct = list(slot)
 
-    footprints = np.array([cache.row(cell) for cell in distinct])
-    by_class = [(footprints == s).astype(np.float32) for s in range(1, 6)]
+    rows = np.array([cache.row(cell) for cell in distinct])
+    levels = reach_levels(rows).reshape(len(distinct), 5 * grid.usable_count).astype(np.float32)
 
     samples: list[tuple[float, float]] = []
     skipped = 0
-    batch_size = 2048
+    batch_size = 1024
     pending_rows: list[np.ndarray] = []
 
     def flush() -> None:
         if not pending_rows:
             return
-        mask = np.stack(pending_rows)
-        # Each footprint cell has one class: the per-class hits sum to the contributor count.
-        count = np.zeros((len(mask), grid.usable_count), dtype=np.float32)
-        best = np.zeros_like(count)
-        for s in range(5, 0, -1):
-            hits = mask @ by_class[s - 1]
-            count += hits
-            best = np.where((best == 0) & (hits > 0), float(s), best)
-        n_cov = (count > 0).sum(axis=1)
-        mean_sig = best.sum(axis=1) / n_cov
-        mean_sat = count.sum(axis=1) / n_cov
+        reached = (np.stack(pending_rows) @ levels).reshape(len(pending_rows), grid.usable_count, 5)
+        n_cov, best_total, contributors = merged_totals(reached)
+        mean_sig = best_total / n_cov
+        mean_sat = contributors / n_cov
         samples.extend((float(a), float(b)) for a, b in zip(mean_sig, mean_sat))
         pending_rows.clear()
 

@@ -264,6 +264,12 @@ class TestInferMap:
         ["simulate", *TOY, "--seed", "-1"],
         ["bounds", *TOY, "--set", "seed=-2"],
         ["sweep", *TOY, "--field", "seed", "--values", "5,9"],
+        ["simulate", *TOY, "--set", "base_range_m=nan"],
+        ["simulate", *TOY, "--set", "noise_sd=nan"],
+        ["simulate", *TOY, "--set", "speed_mps=nan"],
+        ["simulate", *TOY, "--set", "speed_mps=inf"],
+        ["bounds", *TOY, "--set", "range_multiplier=NaN"],
+        ["sweep", *TOY, "--field", "w_sat", "--values", "0.2,nan"],
     ],
     ids=[
         "negative-samples",
@@ -274,6 +280,12 @@ class TestInferMap:
         "negative-seed",
         "negative-seed-override",
         "sweep-seed-field",
+        "set-nan-base-range",
+        "set-nan-noise",
+        "set-nan-speed",
+        "set-inf-speed",
+        "set-nan-range-multiplier",
+        "sweep-nan-value",
     ],
 )
 def test_rejected_invocation_creates_no_output_dir(tmp_path, argv):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +16,15 @@ from parkrsu.config import (
 )
 from parkrsu.errors import ConfigurationError
 from parkrsu.traffic import DAY_PROFILE
+
+
+# (section, field) for every float config field.
+FLOAT_FIELDS = [
+    (section.name, f.name)
+    for section in dataclasses.fields(RunConfig)
+    for f in dataclasses.fields(getattr(RunConfig(), section.name))
+    if f.type in (float, "float")
+]
 
 
 class TestDefaults:
@@ -74,6 +84,23 @@ class TestOverrides:
             RunConfig.default().with_overrides(w_sat=-1.0)
         with pytest.raises(ConfigurationError, match="max_time_s"):
             RunConfig.default().with_overrides(max_time_s=100.0)
+
+    @pytest.mark.parametrize("section,field_name", FLOAT_FIELDS, ids=[f for _, f in FLOAT_FIELDS])
+    def test_nan_float_rejected(self, section, field_name, tmp_path):
+        # NaN compares false, so no range check in validate can catch it.
+        for value in ("nan", math.nan):
+            with pytest.raises(ConfigurationError, match=rf"{section}\.{field_name}: NaN"):
+                RunConfig.default().with_overrides(**{field_name: value})
+        p = tmp_path / "nan.ini"
+        p.write_text(f"[{section}]\n{field_name} = nan\n")
+        with pytest.raises(ConfigurationError, match=rf"{section}\.{field_name}: NaN"):
+            RunConfig.from_file(p)
+
+    @pytest.mark.parametrize("field_name", ["speed_mps", "noise_sd"])
+    def test_infinite_speed_and_noise_rejected(self, field_name):
+        # An infinite speed never uses up a step's distance budget.
+        with pytest.raises(ConfigurationError, match=rf"\.{field_name} must be finite"):
+            RunConfig.default().with_overrides(**{field_name: "inf"})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match=r"sim\.seed"):

@@ -23,6 +23,8 @@ from parkrsu.decision import (
     compute_attributes,
     decide,
     enumerate_solutions,
+    merged_totals,
+    reach_levels,
     score,
 )
 from parkrsu.grid import Cell
@@ -363,6 +365,44 @@ class TestBatchedScoringLargePools:
         assert len(solutions) == oracles.solution_count(len(pool.neighbors) + 1)
         assert all(s.attrs is not None and s.score is not None for s in solutions)
         assert any(s is d.chosen for s in solutions)
+
+
+@st.composite
+def class_stacks(draw):
+    """int8 strength classes of shape (batch, maps, cells); maps may be 0."""
+    batch = draw(st.integers(1, 3))
+    n_maps = draw(st.integers(0, 6))
+    n_cells = draw(st.integers(1, 8))
+    size = batch * n_maps * n_cells
+    classes = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+    return np.array(classes, dtype=np.int8).reshape(batch, n_maps, n_cells)
+
+
+class TestMergeKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(stack=class_stacks())
+    def test_totals_of_summed_levels_match_brute_force_merge(self, stack):
+        batch, n_maps, n_cells = stack.shape
+        summed = reach_levels(stack).sum(axis=1)
+        assert summed.shape == (batch, n_cells, 5)
+        totals = merged_totals(summed)
+        # The sampler's encoding: car counts times a float32 level table.
+        table = reach_levels(stack).reshape(batch, n_maps, 5 * n_cells).astype(np.float32)
+        product = (np.ones((batch, 1, n_maps), np.float32) @ table).reshape(batch, n_cells, 5)
+        for b in range(batch):
+            rows = stack[b].tolist()
+            best = [max((row[c] for row in rows), default=0) for c in range(n_cells)]
+            contributors = sum(cls > 0 for row in rows for cls in row)
+            expected = (sum(x > 0 for x in best), sum(best), contributors)
+            assert tuple(int(t[b]) for t in totals) == expected
+            assert tuple(int(t) for t in merged_totals(summed[b])) == expected
+            assert tuple(int(t) for t in merged_totals(product[b])) == expected
+
+    def test_all_zero_merge(self):
+        no_reach = reach_levels(np.zeros((4, 7), np.int8)).sum(axis=0)
+        assert [int(t) for t in merged_totals(no_reach)] == [0, 0, 0]
+        batched = merged_totals(np.zeros((2, 7, 5), np.float32))
+        assert [t.tolist() for t in batched] == [[0, 0], [0, 0], [0.0, 0.0]]
 
 
 def random_pool(rng):

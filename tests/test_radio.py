@@ -55,6 +55,8 @@ class TestPropagationConfig:
             dict(band_edges_m=(10, 20, 30)),
             dict(band_edges_m=(10, 10, 30, 155)),
             dict(band_edges_m=(10, 20, 30, 100)),  # last edge != max range
+            dict(band_edges_m=(-5, 10, 20, 155)),  # only the source would reach class 5
+            dict(band_edges_m=(0, 10, 20, 155)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -277,6 +279,14 @@ class TestRssiSampling:
 
     def test_vector_empty_input(self, rng):
         assert sample_rssi_many(np.array([], dtype=int), 3.0, rng).size == 0
+
+    @pytest.mark.parametrize("noise_sd", [-1.0, -1e-9, math.nan], ids=["negative", "tiny-negative", "nan"])
+    def test_invalid_noise_rejected_not_skipped(self, rng, noise_sd):
+        # Each compares false with 0: unchecked, it would skip the noise and return the center.
+        with pytest.raises(ValueError, match="noise_sd"):
+            sample_rssi(3, noise_sd, rng)
+        with pytest.raises(ValueError, match="noise_sd"):
+            sample_rssi_many(np.array([3, 4]), noise_sd, rng)
 
     @settings(max_examples=60, deadline=None)
     @given(

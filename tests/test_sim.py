@@ -580,13 +580,15 @@ class TestRandomAssignmentBounds:
         assert warm
         assert warm == [v.cell for v in sim._vehicles.values()]
 
-    def test_samples_replay_the_sampler_stream(self, tmp_path):
+    @pytest.mark.parametrize("num_samples", [400, 2500])
+    def test_samples_replay_the_sampler_stream(self, tmp_path, num_samples):
         # Doubled range on a small city: the fill subsample puts several cars
         # on one cell, so the sampler's per-cell products weigh a cell by its
         # car count. Replaying its draws and merging every chosen set by hand
-        # must give every sample, exactly and in order.
+        # must give every sample, exactly and in order; 2500 samples span
+        # several of the sampler's batches.
         cfg = make_config(blocks_x=3, blocks_y=3, range_multiplier=2.0, discard_s=600.0, bounds_fill_count=40, seed=11)
-        result = random_assignment_bounds(cfg, 400)
+        result = random_assignment_bounds(cfg, num_samples)
 
         rng = np.random.default_rng(np.random.SeedSequence([cfg.sim.seed, 2]))
         grid = build_grid(cfg)
@@ -598,12 +600,14 @@ class TestRandomAssignmentBounds:
         assert len(set(fill)) < len(fill)
         cache = FootprintCache(grid, build_propagation(cfg))
         expected = []
-        for _ in range(400):
+        for _ in range(num_samples):
             k = int(rng.integers(0, len(fill) + 1))
             if k:
                 chosen = rng.choice(len(fill), size=k, replace=False)
                 expected.append(merged_means([fill[int(i)] for i in chosen], cache))
         assert result.samples == expected
+        if num_samples != 400:
+            return
 
         # A change that must not move the sampler keeps this run's bounds.csv.
         write_bounds_csv(result.samples, tmp_path / "bounds.csv")
