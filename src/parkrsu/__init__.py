@@ -47,7 +47,7 @@ from .sim import (
     run,
     steady_state_stats,
 )
-from .traffic import ParkingModel, Role, TrafficProcess, Vehicle
+from .traffic import ParkingModel, TrafficProcess, Vehicle
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "OutOfBoundsError",
     "ParkingModel",
     "PropagationConfig",
-    "Role",
     "RoleCommand",
     "RunConfig",
     "RunResult",

@@ -155,6 +155,19 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
+        # NaN compares false and inf passes every lower bound, so no range
+        # check below could catch either. The one meaningful non-finite
+        # value is battery.max_time_s = +inf: no cap on a duty.
+        for section_name in _SECTIONS:
+            section = getattr(self, section_name)
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if f.type not in (float, "float") or math.isfinite(value):
+                    continue
+                if math.isnan(value):
+                    raise ConfigurationError(f"{section_name}.{f.name}: NaN is not a value")
+                if (section_name, f.name, value) != ("battery", "max_time_s", math.inf):
+                    raise ConfigurationError(f"{section_name}.{f.name} must be finite")
         g = self.grid
         if not g.city_file and min(g.blocks_x, g.blocks_y, g.road_width_cells, g.block_size_cells) < 1:
             raise ConfigurationError("grid.blocks_x/blocks_y/road_width_cells/block_size_cells must be >= 1")
@@ -167,15 +180,15 @@ class RunConfig:
             raise ConfigurationError("radio.range_multiplier must be positive")
         if r.nlos_penalty < 0:
             raise ConfigurationError("radio.nlos_penalty must be non-negative")
-        if not math.isfinite(r.noise_sd) or r.noise_sd < 0:
-            raise ConfigurationError("radio.noise_sd must be finite and non-negative")
+        if r.noise_sd < 0:
+            raise ConfigurationError("radio.noise_sd must be non-negative")
         if self.maps.min_samples < 1:
             raise ConfigurationError("maps.min_samples must be >= 1")
         d = self.decision
         for name in ("w_sig", "w_sat", "w_cov", "w_bat"):
             v = getattr(d, name)
-            if not math.isfinite(v) or v < 0:
-                raise ConfigurationError(f"decision.{name} must be finite and non-negative")
+            if v < 0:
+                raise ConfigurationError(f"decision.{name} must be non-negative")
         if d.learning_period_s <= 0:
             raise ConfigurationError("decision.learning_period_s must be positive")
         b = self.battery
@@ -190,9 +203,8 @@ class RunConfig:
             raise ConfigurationError("traffic.target_moving_vehicles must be positive")
         if t.mean_duration_s <= 0:
             raise ConfigurationError("traffic.mean_duration_s must be positive")
-        if not math.isfinite(t.speed_mps) or t.speed_mps <= 0:
-            # An infinite speed never uses up a step's distance budget.
-            raise ConfigurationError("traffic.speed_mps must be finite and positive")
+        if t.speed_mps <= 0:
+            raise ConfigurationError("traffic.speed_mps must be positive")
         if t.daily_total < 0:
             raise ConfigurationError("traffic.daily_total must be non-negative")
         if t.cruise_mean_s <= 0:
@@ -232,13 +244,6 @@ def _flat_registry() -> dict[str, tuple[str, object]]:
     return registry
 
 
-NUMERIC_FIELDS = tuple(
-    name
-    for name, (_, ftype) in _flat_registry().items()
-    if ftype in (int, float, "int", "float")
-)
-
-
 def _coerce(section: str, key: str, raw, ftype):
     if isinstance(ftype, str):
         ftype = {"int": int, "float": float, "str": str, "bool": bool}.get(ftype, str)
@@ -256,13 +261,9 @@ def _coerce(section: str, key: str, raw, ftype):
             return int(str(raw).strip())
         if ftype is not float:
             return str(raw)
-        value = float(str(raw).strip())
+        return float(str(raw).strip())
     except ValueError:
         raise ConfigurationError(f"{section}.{key}: cannot parse {raw!r}") from None
-    # NaN passes every range check in validate, because it compares false.
-    if math.isnan(value):
-        raise ConfigurationError(f"{section}.{key}: NaN is not a value")
-    return value
 
 
 def build_grid(cfg: RunConfig) -> CityGrid:

@@ -8,8 +8,7 @@ and bin ((k - 1) * 10, k * 10] on the 1..50 RSSI scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 

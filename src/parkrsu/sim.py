@@ -41,7 +41,7 @@ from .errors import ConfigurationError
 from .grid import Cell, CityGrid
 from .maps import CoverageMap, CoverageMapBuilder
 from .radio import FootprintCache, sample_rssi_many
-from .traffic import Role, TrafficProcess, Vehicle, should_depart
+from .traffic import TrafficProcess, Vehicle, should_depart
 
 CAUSE_DECISION = "decision"
 CAUSE_FORCED = "forced_tau_M"
@@ -63,9 +63,11 @@ BOUNDS_HEADER = "mean_signal,mean_saturation"
 class Message:
     """Unit of in-network communication; delivery requires radio contact.
 
-    Dense beacon traffic (cam) is tallied rather than materialized; map and
-    role traffic flows through _deliver so no entity ever reads another's
-    state except out of a delivered payload.
+    Dense beacon traffic (cam) is tallied rather than materialized. Map
+    traffic flows through _deliver, so no entity reads another's state
+    except out of a delivered payload. _apply_commands counts role commands
+    without a delivery; what limits their reach is its rule that a decision
+    assigns only its maker and revokes only the maker's one-hop neighbors.
     """
 
     kind: str
@@ -161,7 +163,7 @@ class Simulation:
         self._vehicles: dict[int, Vehicle] = {}  # parked cars, in parking order
         self._moving: dict[int, Vehicle] = {}
         self._learning: dict[int, tuple[Vehicle, CoverageMapBuilder]] = {}
-        self._active: dict[int, Vehicle] = {}
+        self._active: dict[int, float] = {}  # serving unit -> activation time, in activation order
         self._learned: dict[int, CoverageMap] = {}
         self._pending: deque[int] = deque()
         self._departures: list[tuple[float, int, Vehicle]] = []
@@ -213,7 +215,7 @@ class Simulation:
             self._vehicles[v.vid] = v
             self._learning[v.vid] = (v, CoverageMapBuilder(v.vid))
         for v in departed:
-            if v.role is Role.PARKED_RSU:
+            if v.vid in self._active:
                 self._revoke(v.vid, t, CAUSE_DEPARTURE)
             del self._vehicles[v.vid]
             self._learning.pop(v.vid, None)
@@ -251,17 +253,15 @@ class Simulation:
     def _phase_forced_revocations(self, t: float) -> None:
         while self._forced and self._forced[0][0] <= t:
             _, vid = heapq.heappop(self._forced)
-            v = self._active.get(vid)
-            if v is None or v.rsu_active_since is None:
-                continue
-            if t - v.rsu_active_since >= self.policy.max_time_s:
+            since = self._active.get(vid)
+            if since is not None and t - since >= self.policy.max_time_s:
                 self._revoke(vid, t, CAUSE_FORCED)
 
     def _phase_decision(self, t: float) -> None:
         while self._pending:
             vid = self._pending.popleft()
             maker = self._vehicles.get(vid)
-            if maker is None or maker.role is not Role.PARKED_SILENT:
+            if maker is None or vid in self._active:
                 continue
             if self.config.sim.always_grow:
                 self._apply_commands(t, vid, (RoleCommand("assign", vid),), one_hop=set())
@@ -293,7 +293,7 @@ class Simulation:
 
     def _gather_pool(self, maker: Vehicle, t: float) -> CandidatePool:
         fps = self._footprints
-        active = list(self._active.values())
+        active = [self._vehicles[vid] for vid in self._active]
         at = [fps.index[v.cell] for v in active]
 
         def reached_from(cell: Cell) -> list[Vehicle]:
@@ -306,14 +306,14 @@ class Simulation:
         excluded = set(one_hop)
         excluded.add(maker.vid)
         for nid in one_hop:
-            nveh = self._active[nid]
+            nveh = self._vehicles[nid]
             request = self._deliver(
                 Message(KIND_MAP_REQUEST, maker.vid, nid), maker.cell, nveh.cell
             )
             if request is None:
                 continue
             forwarded = [(m.vid, self._learned[m.vid]) for m in reached_from(nveh.cell) if m.vid != nid]
-            battery = battery_indicator(t - nveh.rsu_active_since, self.policy)
+            battery = battery_indicator(t - self._active[nid], self.policy)
             response = self._deliver(
                 Message(
                     KIND_MAP_RESPONSE,
@@ -358,22 +358,16 @@ class Simulation:
     # role bookkeeping
 
     def _activate(self, vid: int, t: float) -> None:
-        v = self._vehicles[vid]
-        v.role = Role.PARKED_RSU
-        v.rsu_active_since = t
-        self._active[vid] = v
-        self._counts += reach_levels(self._footprints.row(v.cell))
+        self._active[vid] = t
+        self._counts += reach_levels(self._footprints.row(self._vehicles[vid].cell))
         self._counts_changed = True
         if not math.isinf(self.policy.max_time_s):
             heapq.heappush(self._forced, (t + self.policy.max_time_s, vid))
         self.assignments += 1
 
     def _revoke(self, vid: int, t: float, cause: str) -> None:
-        v = self._active.pop(vid)
-        self.lifetimes.append(RsuLifetimeRecord(vid, v.rsu_active_since, t, cause))
-        v.role = Role.PARKED_SILENT
-        v.rsu_active_since = None
-        self._counts -= reach_levels(self._footprints.row(v.cell))
+        self.lifetimes.append(RsuLifetimeRecord(vid, self._active.pop(vid), t, cause))
+        self._counts -= reach_levels(self._footprints.row(self._vehicles[vid].cell))
         self._counts_changed = True
 
     # metrics
@@ -400,7 +394,8 @@ class Simulation:
         Both must match exactly: the tallies the ledger, and the sample the
         one _phase_metrics recorded, which may be a reused earlier sample.
         """
-        rows = np.array([self._footprints.row(v.cell) for v in self._active.values()], dtype=np.int8)
+        cells = [self._vehicles[vid].cell for vid in self._active]
+        rows = np.array([self._footprints.row(cell) for cell in cells], dtype=np.int8)
         rows = rows.reshape(len(self._active), self.grid.usable_count)
         recount = reach_levels(rows).sum(axis=0, dtype=np.int32)
         if not np.array_equal(recount, self._counts):

@@ -9,15 +9,14 @@ hourly classes with per-hour lognormal durations.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, MalformedLineError
-from .grid import Cell, CityGrid, cell_of
+from .grid import Cell, CityGrid
 
 DEFAULT_SPEED_MPS = 8.0
 
@@ -55,26 +54,19 @@ DEFAULT_DAY_PROFILE: tuple[tuple[float, float, float], ...] = (
 )
 
 
-class Role(enum.Enum):
-    MOVING = "moving"
-    PARKED_SILENT = "parked_silent"
-    PARKED_RSU = "parked_rsu"
-
-
 @dataclass
 class Vehicle:
+    """A car on the road, or parked once parked_at is set; it never moves again."""
+
     vid: int
     x_m: float
     y_m: float
     speed_mps: float
-    role: Role
-    spawned_at: float
     cell: Cell
     target: Cell | None = None
     came_from: Cell | None = None
     parked_at: float | None = None
     planned_duration_s: float | None = None
-    rsu_active_since: float | None = None
 
 
 @dataclass(frozen=True)
@@ -205,7 +197,7 @@ def step_vehicle(v: Vehicle, grid: CityGrid, rng: np.random.Generator) -> None:
     At each cell hand-off the next cell is drawn uniformly from the usable
     neighbors, never the one just left unless the road dead-ends.
     """
-    if v.role is not Role.MOVING:
+    if v.parked_at is not None:
         return
     budget = v.speed_mps
     if v.target is None or v.target == v.cell:
@@ -238,23 +230,18 @@ def draw_duration(model: ParkingModel, t: float, rng: np.random.Generator) -> fl
 
 def maybe_park(v: Vehicle, model: ParkingModel, t: float, rng: np.random.Generator) -> bool:
     """Bernoulli parking trial for one moving vehicle over one tick (one second)."""
-    if v.role is not Role.MOVING:
+    if v.parked_at is not None:
         return False
     p = min(1.0, model.park_hazard_per_s)
     if p <= 0 or rng.random() >= p:
         return False
-    v.role = Role.PARKED_SILENT
     v.parked_at = t
     v.planned_duration_s = draw_duration(model, t, rng)
     return True
 
 
 def should_depart(v: Vehicle, t: float) -> bool:
-    return (
-        v.role in (Role.PARKED_SILENT, Role.PARKED_RSU)
-        and v.parked_at is not None
-        and t >= v.parked_at + (v.planned_duration_s or 0.0)
-    )
+    return v.parked_at is not None and t >= v.parked_at + v.planned_duration_s
 
 
 class TrafficProcess:
@@ -302,15 +289,7 @@ class TrafficProcess:
         for _ in range(self._spawn_count(t)):
             cell = self._border[int(self.rng.integers(len(self._border)))]
             x, y = self.grid.center_of(cell)
-            v = Vehicle(
-                vid=self._next_id,
-                x_m=x,
-                y_m=y,
-                speed_mps=self.speed_mps,
-                role=Role.MOVING,
-                spawned_at=t,
-                cell=cell,
-            )
+            v = Vehicle(vid=self._next_id, x_m=x, y_m=y, speed_mps=self.speed_mps, cell=cell)
             self._next_id += 1
             v.target = _pick_next_cell(self.grid, cell, None, self.rng)
             out.append(v)

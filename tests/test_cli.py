@@ -69,6 +69,19 @@ class TestSimulate:
         assert toy_simulate(tmp_path, "--set", "w_sat=-1") == 2
         assert "w_sat" in capsys.readouterr().err
 
+    def test_infinite_value_exits_2_naming_field(self, tmp_path, capsys):
+        assert toy_simulate(tmp_path, "--set", "base_range_m=inf") == 2
+        assert "radio.base_range_m must be finite" in capsys.readouterr().err
+
+    def test_infinite_max_time_disables_battery_cap(self, tmp_path):
+        def forced_ends(max_time: str) -> int:
+            out = tmp_path / max_time
+            assert toy_simulate(out, "--set", "standard_time_s=10", "--set", f"max_time_s={max_time}") == 0
+            return (out / "lifetimes.csv").read_text().count("forced_tau_M")
+
+        assert forced_ends("20") > 0
+        assert forced_ends("inf") == 0
+
     def test_flags_beat_set_and_file(self, tmp_path):
         ini = tmp_path / "base.ini"
         ini.write_text(RunConfig().with_overrides(w_sat=0.5).to_ini())
@@ -270,6 +283,14 @@ class TestInferMap:
         ["simulate", *TOY, "--set", "speed_mps=inf"],
         ["bounds", *TOY, "--set", "range_multiplier=NaN"],
         ["sweep", *TOY, "--field", "w_sat", "--values", "0.2,nan"],
+        ["simulate", *TOY, "--set", "base_range_m=inf"],
+        ["simulate", *TOY, "--set", "range_multiplier=inf"],
+        ["simulate", *TOY, "--set", "arrival_rate_vps=inf"],
+        ["simulate", *TOY, "--set", "cell_size_m=inf"],
+        ["simulate", *TOY, "--duration", "inf"],
+        ["simulate", *TOY, "--set", "max_time_s=-inf"],
+        ["bounds", *TOY, "--set", "discard_s=inf"],
+        ["sweep", *TOY, "--field", "w_sat", "--values", "0.2,inf"],
     ],
     ids=[
         "negative-samples",
@@ -286,6 +307,14 @@ class TestInferMap:
         "set-inf-speed",
         "set-nan-range-multiplier",
         "sweep-nan-value",
+        "set-inf-base-range",
+        "set-inf-range-multiplier",
+        "set-inf-arrival-rate",
+        "set-inf-cell-size",
+        "inf-duration",
+        "set-negative-inf-max-time",
+        "bounds-inf-discard",
+        "sweep-inf-value",
     ],
 )
 def test_rejected_invocation_creates_no_output_dir(tmp_path, argv):

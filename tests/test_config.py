@@ -6,7 +6,6 @@ import math
 import pytest
 
 from parkrsu.config import (
-    NUMERIC_FIELDS,
     RunConfig,
     build_grid,
     build_parking_model,
@@ -96,11 +95,32 @@ class TestOverrides:
         with pytest.raises(ConfigurationError, match=rf"{section}\.{field_name}: NaN"):
             RunConfig.from_file(p)
 
-    @pytest.mark.parametrize("field_name", ["speed_mps", "noise_sd"])
-    def test_infinite_speed_and_noise_rejected(self, field_name):
-        # An infinite speed never uses up a step's distance budget.
-        with pytest.raises(ConfigurationError, match=rf"\.{field_name} must be finite"):
-            RunConfig.default().with_overrides(**{field_name: "inf"})
+    @pytest.mark.parametrize("section,field_name", FLOAT_FIELDS, ids=[f for _, f in FLOAT_FIELDS])
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_float_rejected(self, section, field_name, value, tmp_path):
+        # battery.max_time_s = +inf means no cap on a duty; every other
+        # infinity, -inf there included, is rejected by name.
+        p = tmp_path / "inf.ini"
+        p.write_text(f"[{section}]\n{field_name} = {value}\n")
+        if (section, field_name, value) == ("battery", "max_time_s", "inf"):
+            assert RunConfig.default().with_overrides(max_time_s=value).battery.max_time_s == math.inf
+            assert RunConfig.from_file(p).battery.max_time_s == math.inf
+            return
+        with pytest.raises(ConfigurationError, match=rf"^{section}\.{field_name} must be finite$"):
+            RunConfig.default().with_overrides(**{field_name: value})
+        with pytest.raises(ConfigurationError, match=rf"^{section}\.{field_name} must be finite$"):
+            RunConfig.from_file(p)
+
+    @pytest.mark.parametrize("section,field_name", FLOAT_FIELDS, ids=[f for _, f in FLOAT_FIELDS])
+    def test_non_finite_set_on_object_rejected(self, section, field_name):
+        # Values assigned on a RunConfig skip parsing; validate alone must catch them.
+        cfg = RunConfig()
+        setattr(getattr(cfg, section), field_name, math.nan)
+        with pytest.raises(ConfigurationError, match=rf"{section}\.{field_name}: NaN is not a value"):
+            cfg.validate()
+        setattr(getattr(cfg, section), field_name, -math.inf)
+        with pytest.raises(ConfigurationError, match=rf"{section}\.{field_name} must be finite"):
+            cfg.validate()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match=r"sim\.seed"):
@@ -125,12 +145,6 @@ class TestOverrides:
             len(type(getattr(cfg, s)).__dataclass_fields__)
             for s in ("grid", "radio", "maps", "decision", "battery", "traffic", "sim")
         )
-
-    def test_numeric_fields_listing(self):
-        for name in ("w_sat", "seed", "duration_s", "base_range_m"):
-            assert name in NUMERIC_FIELDS
-        assert "city_file" not in NUMERIC_FIELDS
-        assert "always_grow" not in NUMERIC_FIELDS
 
 
 class TestIniRoundTrip:

@@ -151,6 +151,20 @@ class TestDeterminism:
             "commands.csv": "a77053557b2f854d681e25966055457e784221056537a02c14478edc647275d5",
         }
 
+    def test_battery_rotation_outputs_pinned(self, tmp_path):
+        # The same pin with the battery criterion on and a short duty cap:
+        # 8 forced revocations, and each neighbor's battery indicator, read
+        # from its activation time, enters every score. The pins above run
+        # with w_bat=0 and cannot see that path.
+        cfg = make_config(duration_s=600.0, seed=3, w_bat=1.0, standard_time_s=60.0, max_time_s=240.0)
+        result = Simulation(cfg).run()
+        assert sum(r.cause == CAUSE_FORCED for r in result.lifetimes) == 8
+        assert output_digests(result, tmp_path) == {
+            "metrics.csv": "bf2a2bf054057ca9cac7b669e5c9a57751525bc98d6ca786e3bfb40d95f9f82c",
+            "lifetimes.csv": "5507a94566a181428b89256061e0e70a690bafe5d83f018c209d622733dd3c56",
+            "commands.csv": "5cbcd3c0c91e127a70a10511392c09dc541e10408936c6802c31a8b180024f82",
+        }
+
     def test_different_seed_differs(self, short_result_pair):
         a, _ = short_result_pair
         c = Simulation(make_config(duration_s=600.0, seed=4)).run()

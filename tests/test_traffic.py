@@ -15,7 +15,6 @@ from parkrsu.traffic import (
     DEFAULT_SPEED_MPS,
     UNIFORM,
     ParkingModel,
-    Role,
     TrafficProcess,
     Vehicle,
     apportion_daily_counts,
@@ -33,9 +32,7 @@ import oracles
 def make_vehicle(grid, cell=None, speed=DEFAULT_SPEED_MPS):
     cell = cell or grid.border_cells[0]
     x, y = grid.center_of(cell)
-    return Vehicle(
-        vid=1, x_m=x, y_m=y, speed_mps=speed, role=Role.MOVING, spawned_at=0.0, cell=cell
-    )
+    return Vehicle(vid=1, x_m=x, y_m=y, speed_mps=speed, cell=cell)
 
 
 class TestParkingModelValidation:
@@ -208,7 +205,7 @@ class TestMobility:
 
     def test_parked_vehicles_do_not_move(self, default_city, rng):
         v = make_vehicle(default_city)
-        v.role = Role.PARKED_SILENT
+        v.parked_at, v.planned_duration_s = 0.0, 600.0
         x, y = v.x_m, v.y_m
         step_vehicle(v, default_city, rng)
         assert (v.x_m, v.y_m) == (x, y)
@@ -218,8 +215,8 @@ class TestParkingProcess:
     def test_park_sets_state(self, default_city, rng):
         m = ParkingModel(arrival_rate_vps=55.0, target_moving_vehicles=55.0)  # hazard 1.0
         v = make_vehicle(default_city)
+        assert v.parked_at is None
         assert maybe_park(v, m, t=17.0, rng=rng) is True
-        assert v.role is Role.PARKED_SILENT
         assert v.parked_at == 17.0
         assert v.planned_duration_s > 0
 
@@ -231,8 +228,10 @@ class TestParkingProcess:
     def test_parked_vehicle_cannot_park_again(self, default_city, rng):
         m = ParkingModel(arrival_rate_vps=55.0, target_moving_vehicles=55.0)
         v = make_vehicle(default_city)
-        maybe_park(v, m, 0.0, rng)
+        assert maybe_park(v, m, 0.0, rng) is True
+        parked = (v.parked_at, v.planned_duration_s)
         assert maybe_park(v, m, 1.0, rng) is False
+        assert (v.parked_at, v.planned_duration_s) == parked
 
     def test_hazard_statistics(self, default_city):
         rng = np.random.default_rng(7)
@@ -246,14 +245,13 @@ class TestParkingProcess:
         assert parks / trials == pytest.approx(1 / 110, rel=0.2)
 
     def test_departure_at_planned_time(self):
-        v = Vehicle(1, 0, 0, 8.0, Role.PARKED_SILENT, 0.0, Cell(0, 0), parked_at=100.0, planned_duration_s=50.0)
+        v = Vehicle(1, 0, 0, 8.0, Cell(0, 0), parked_at=100.0, planned_duration_s=50.0)
         assert not should_depart(v, 149.9)
         assert should_depart(v, 150.0)
-        v.role = Role.PARKED_RSU
         assert should_depart(v, 151.0)
 
     def test_moving_vehicle_never_departs(self):
-        v = Vehicle(1, 0, 0, 8.0, Role.MOVING, 0.0, Cell(0, 0))
+        v = Vehicle(1, 0, 0, 8.0, Cell(0, 0))
         assert not should_depart(v, 1e9)
 
     def test_uniform_duration_mean(self):
@@ -283,7 +281,7 @@ class TestTrafficProcess:
         for t in range(50):
             for v in tp.spawn(float(t)):
                 assert v.cell in border
-                assert v.role is Role.MOVING
+                assert v.parked_at is None
                 assert (v.x_m, v.y_m) == default_city.center_of(v.cell)
 
     def test_poisson_arrival_rate(self, default_city):
@@ -341,7 +339,7 @@ class TestTrafficProcess:
                 for v in vehicles:
                     tp.step(v)
                     tp.maybe_park(v, float(t))
-                out.append([(v.vid, round(v.x_m, 9), round(v.y_m, 9), v.role.value) for v in vehicles])
+                out.append([(v.vid, round(v.x_m, 9), round(v.y_m, 9), v.parked_at) for v in vehicles])
             return out
 
         assert trace(42) == trace(42)
