@@ -23,8 +23,8 @@ from .traffic import (
     DEFAULT_DAY_PROFILE,
     UNIFORM,
     ParkingModel,
-    day_profile_model,
     load_day_profile,
+    profile_fields,
 )
 
 
@@ -155,9 +155,9 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        # NaN compares false and inf passes every lower bound, so no range
-        # check below could catch either. The one meaningful non-finite
-        # value is battery.max_time_s = +inf: no cap on a duty.
+        # A non-finite value is reported by name before any range rule sees
+        # it. The one meaningful non-finite value is battery.max_time_s =
+        # +inf: no cap on a duty.
         for section_name in _SECTIONS:
             section = getattr(self, section_name)
             for f in fields(section):
@@ -168,58 +168,35 @@ class RunConfig:
                     raise ConfigurationError(f"{section_name}.{f.name}: NaN is not a value")
                 if (section_name, f.name, value) != ("battery", "max_time_s", math.inf):
                     raise ConfigurationError(f"{section_name}.{f.name} must be finite")
-        g = self.grid
-        if not g.city_file and min(g.blocks_x, g.blocks_y, g.road_width_cells, g.block_size_cells) < 1:
-            raise ConfigurationError("grid.blocks_x/blocks_y/road_width_cells/block_size_cells must be >= 1")
-        if g.cell_size_m <= 0:
-            raise ConfigurationError("grid.cell_size_m must be positive")
-        r = self.radio
-        if r.base_range_m <= 0:
-            raise ConfigurationError("radio.base_range_m must be positive")
-        if r.range_multiplier <= 0:
-            raise ConfigurationError("radio.range_multiplier must be positive")
-        if r.nlos_penalty < 0:
-            raise ConfigurationError("radio.nlos_penalty must be non-negative")
-        if r.noise_sd < 0:
+        if self.radio.noise_sd < 0:
             raise ConfigurationError("radio.noise_sd must be non-negative")
         if self.maps.min_samples < 1:
             raise ConfigurationError("maps.min_samples must be >= 1")
         d = self.decision
         for name in ("w_sig", "w_sat", "w_cov", "w_bat"):
-            v = getattr(d, name)
-            if v < 0:
+            if getattr(d, name) < 0:
                 raise ConfigurationError(f"decision.{name} must be non-negative")
         if d.learning_period_s <= 0:
             raise ConfigurationError("decision.learning_period_s must be positive")
-        b = self.battery
-        if b.standard_time_s <= 0 or b.max_time_s <= b.standard_time_s:
-            raise ConfigurationError("battery requires 0 < standard_time_s < max_time_s")
-        t = self.traffic
-        if t.mode not in (UNIFORM, DAY_PROFILE):
-            raise ConfigurationError(f"traffic.mode must be {UNIFORM!r} or {DAY_PROFILE!r}")
-        if t.arrival_rate_vps < 0:
-            raise ConfigurationError("traffic.arrival_rate_vps must be non-negative")
-        if t.target_moving_vehicles <= 0:
-            raise ConfigurationError("traffic.target_moving_vehicles must be positive")
-        if t.mean_duration_s <= 0:
-            raise ConfigurationError("traffic.mean_duration_s must be positive")
-        if t.speed_mps <= 0:
+        if self.traffic.speed_mps <= 0:
             raise ConfigurationError("traffic.speed_mps must be positive")
-        if t.daily_total < 0:
-            raise ConfigurationError("traffic.daily_total must be non-negative")
-        if t.cruise_mean_s <= 0:
-            raise ConfigurationError("traffic.cruise_mean_s must be positive")
         s = self.sim
         if s.seed < 0:
             raise ConfigurationError("sim.seed must be non-negative")
         if s.duration_s < 0:
             raise ConfigurationError("sim.duration_s must be non-negative")
-        if t.mode == DAY_PROFILE and s.duration_s > 86400:
+        if self.traffic.mode == DAY_PROFILE and s.duration_s > 86400:
             raise ConfigurationError("sim.duration_s must be at most 86400 in day_profile mode (one day of arrivals)")
         if s.discard_s < 0:
             raise ConfigurationError("sim.discard_s must be non-negative")
         if s.bounds_fill_count < 1:
             raise ConfigurationError("sim.bounds_fill_count must be >= 1")
+        # The model types own every other range rule; building them applies
+        # those rules and reads the city and profile files.
+        build_grid(self)
+        build_propagation(self)
+        build_policy(self)
+        build_parking_model(self)
 
     def to_ini(self) -> str:
         lines = []
@@ -297,12 +274,13 @@ def build_policy(cfg: RunConfig) -> BatteryPolicy:
 
 def build_parking_model(cfg: RunConfig) -> ParkingModel:
     t = cfg.traffic
-    if t.mode == UNIFORM:
-        return ParkingModel(
-            mode=UNIFORM,
-            arrival_rate_vps=t.arrival_rate_vps,
-            target_moving_vehicles=t.target_moving_vehicles,
-            mean_duration_s=t.mean_duration_s,
-        )
     profile = load_day_profile(t.profile_file) if t.profile_file else DEFAULT_DAY_PROFILE
-    return day_profile_model(t.daily_total, profile=profile, cruise_mean_s=t.cruise_mean_s)
+    return ParkingModel(
+        mode=t.mode,
+        arrival_rate_vps=t.arrival_rate_vps,
+        target_moving_vehicles=t.target_moving_vehicles,
+        mean_duration_s=t.mean_duration_s,
+        daily_total=t.daily_total,
+        cruise_mean_s=t.cruise_mean_s,
+        **profile_fields(profile),
+    )

@@ -18,6 +18,7 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .maps import CoverageMap
 
 MAX_REVOCATIONS = 2
@@ -65,15 +66,15 @@ class BatteryPolicy:
     max_time_s: float = 3600.0
 
     def __post_init__(self):
-        if self.standard_time_s <= 0 or self.max_time_s <= self.standard_time_s:
-            raise ValueError("battery policy requires 0 < standard_time_s < max_time_s")
+        if not 0 < self.standard_time_s < math.inf:
+            raise ConfigurationError("battery.standard_time_s must be positive and finite")
+        if not self.standard_time_s < self.max_time_s:
+            raise ConfigurationError("battery.max_time_s must exceed standard_time_s")
 
 
 def battery_indicator(active_time_s: float, policy: BatteryPolicy) -> float:
     """Remaining-duty indicator in [0, 1] for a unit active this long."""
     if active_time_s < policy.standard_time_s:
-        return 1.0
-    if math.isinf(policy.max_time_s):
         return 1.0
     frac = (active_time_s - policy.standard_time_s) / (policy.max_time_s - policy.standard_time_s)
     return max(0.0, 1.0 - frac)

@@ -46,8 +46,8 @@ class CityGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ConfigurationError("grid width/height must be at least 1")
-        if self.cell_size_m <= 0:
-            raise ConfigurationError("cell_size_m must be positive")
+        if not 0 < self.cell_size_m < math.inf:
+            raise ConfigurationError("grid.cell_size_m must be positive and finite")
         for name in ("usable", "obstruction"):
             mask = getattr(self, name)
             if mask.shape != (self.width, self.height):
@@ -139,8 +139,14 @@ def build_manhattan_city(
     measures road + blocks * (block + road) cells. Road cells are usable,
     block cells are obstructions, and together they partition the grid.
     """
-    if min(blocks_x, blocks_y, road_width_cells, block_size_cells) < 1:
-        raise ConfigurationError("manhattan layout parameters must be at least 1")
+    for name, value in (
+        ("blocks_x", blocks_x),
+        ("blocks_y", blocks_y),
+        ("road_width_cells", road_width_cells),
+        ("block_size_cells", block_size_cells),
+    ):
+        if value < 1:
+            raise ConfigurationError(f"grid.{name} must be >= 1")
     stride = block_size_cells + road_width_cells
     width = road_width_cells + blocks_x * stride
     height = road_width_cells + blocks_y * stride

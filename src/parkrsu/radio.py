@@ -45,10 +45,12 @@ class PropagationConfig:
     band_edges_m: tuple[float, float, float, float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.base_range_m <= 0 or self.range_multiplier <= 0:
-            raise ConfigurationError("base_range_m and range_multiplier must be positive")
+        if not 0 < self.base_range_m < math.inf:
+            raise ConfigurationError("radio.base_range_m must be positive and finite")
+        if not 0 < self.range_multiplier < math.inf:
+            raise ConfigurationError("radio.range_multiplier must be positive and finite")
         if self.nlos_penalty < 0:
-            raise ConfigurationError("nlos_penalty must be non-negative")
+            raise ConfigurationError("radio.nlos_penalty must be non-negative")
         max_range = self.base_range_m * self.range_multiplier
         if self.band_edges_m is None:
             edges = tuple(f * max_range for f in BAND_FRACTIONS)

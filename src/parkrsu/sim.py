@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -167,7 +166,6 @@ class Simulation:
         self._learned: dict[int, CoverageMap] = {}
         self._pending: deque[int] = deque()
         self._departures: list[tuple[float, int, Vehicle]] = []
-        self._forced: list[tuple[float, int]] = []
 
         self.metrics: list[MetricsSample] = []
         self.lifetimes: list[RsuLifetimeRecord] = []
@@ -251,11 +249,13 @@ class Simulation:
             learners[i][1].record(mover_cells[j], rssi)
 
     def _phase_forced_revocations(self, t: float) -> None:
-        while self._forced and self._forced[0][0] <= t:
-            _, vid = heapq.heappop(self._forced)
-            since = self._active.get(vid)
-            if since is not None and t - since >= self.policy.max_time_s:
-                self._revoke(vid, t, CAUSE_FORCED)
+        # Units join _active as they activate, so it is ordered by activation
+        # time and the units due for a stop are a prefix of it.
+        while self._active:
+            vid, since = next(iter(self._active.items()))
+            if t - since < self.policy.max_time_s:
+                return
+            self._revoke(vid, t, CAUSE_FORCED)
 
     def _phase_decision(self, t: float) -> None:
         while self._pending:
@@ -361,8 +361,6 @@ class Simulation:
         self._active[vid] = t
         self._counts += reach_levels(self._footprints.row(self._vehicles[vid].cell))
         self._counts_changed = True
-        if not math.isinf(self.policy.max_time_s):
-            heapq.heappush(self._forced, (t + self.policy.max_time_s, vid))
         self.assignments += 1
 
     def _revoke(self, vid: int, t: float, cause: str) -> None:

@@ -71,7 +71,7 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class ParkingModel:
-    """Arrival and parking regime; exactly one mode's fields are consulted.
+    """Arrival and parking regime; exactly one mode's fields are consulted, all are checked.
 
     Uniform mode: Poisson arrivals at arrival_rate_vps, a per-second parking
     hazard tuned so the moving population settles at
@@ -93,25 +93,20 @@ class ParkingModel:
 
     def __post_init__(self):
         if self.mode not in (UNIFORM, DAY_PROFILE):
-            raise ConfigurationError(f"parking mode must be {UNIFORM!r} or {DAY_PROFILE!r}")
-        if self.mode == UNIFORM:
-            if self.arrival_rate_vps < 0:
-                raise ConfigurationError("arrival_rate_vps must be non-negative")
-            if self.target_moving_vehicles <= 0:
-                raise ConfigurationError("target_moving_vehicles must be positive")
-            if self.mean_duration_s <= 0:
-                raise ConfigurationError("mean_duration_s must be positive")
-        else:
-            if self.daily_total < 0:
-                raise ConfigurationError("daily_total must be non-negative")
-            if self.cruise_mean_s <= 0:
-                raise ConfigurationError("cruise_mean_s must be positive")
-            if len(self.hourly_weights) != 24 or len(self.duration_law) != 24:
-                raise ConfigurationError("day profile requires 24 hourly rows")
-            if any(w < 0 for w in self.hourly_weights) or sum(self.hourly_weights) <= 0:
-                raise ConfigurationError("hourly_weights must be non-negative with positive sum")
-            if any(m <= 0 or s < 0 for m, s in self.duration_law):
-                raise ConfigurationError("duration_law rows need median_s > 0 and sigma >= 0")
+            raise ConfigurationError(f"traffic.mode must be {UNIFORM!r} or {DAY_PROFILE!r}")
+        if not 0 <= self.arrival_rate_vps < math.inf:
+            raise ConfigurationError("traffic.arrival_rate_vps must be non-negative and finite")
+        for name in ("target_moving_vehicles", "mean_duration_s", "cruise_mean_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"traffic.{name} must be positive and finite")
+        if self.daily_total < 0:
+            raise ConfigurationError("traffic.daily_total must be non-negative")
+        if len(self.hourly_weights) != 24 or len(self.duration_law) != 24:
+            raise ConfigurationError("day profile requires 24 hourly rows")
+        if not all(0 <= w < math.inf for w in self.hourly_weights) or not sum(self.hourly_weights) > 0:
+            raise ConfigurationError("hourly_weights must be finite and non-negative with positive sum")
+        if not all(0 < m < math.inf and 0 <= s < math.inf for m, s in self.duration_law):
+            raise ConfigurationError("duration_law rows need finite median_s > 0 and sigma >= 0")
 
     @property
     def park_hazard_per_s(self) -> float:
@@ -148,18 +143,27 @@ def load_day_profile(path) -> tuple[tuple[float, float, float], ...]:
     return tuple(rows[h] for h in range(24))
 
 
+def profile_fields(profile: Sequence[tuple[float, float, float]]) -> dict[str, tuple]:
+    """ParkingModel's hourly_weights (scaled to sum to 1) and duration_law for a day profile.
+
+    A non-positive weight sum is passed on unscaled, for ParkingModel to reject.
+    """
+    total_w = sum(w for w, _, _ in profile)
+    if not total_w > 0:
+        total_w = 1.0
+    return dict(
+        hourly_weights=tuple(w / total_w for w, _, _ in profile),
+        duration_law=tuple((m, s) for _, m, s in profile),
+    )
+
+
 def day_profile_model(
     daily_total: int,
     profile: Sequence[tuple[float, float, float]] = DEFAULT_DAY_PROFILE,
     cruise_mean_s: float = 120.0,
 ) -> ParkingModel:
-    total_w = sum(w for w, _, _ in profile)
     return ParkingModel(
-        mode=DAY_PROFILE,
-        daily_total=daily_total,
-        cruise_mean_s=cruise_mean_s,
-        hourly_weights=tuple(w / total_w for w, _, _ in profile),
-        duration_law=tuple((m, s) for _, m, s in profile),
+        mode=DAY_PROFILE, daily_total=daily_total, cruise_mean_s=cruise_mean_s, **profile_fields(profile)
     )
 
 

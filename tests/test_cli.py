@@ -291,6 +291,8 @@ class TestInferMap:
         ["simulate", *TOY, "--set", "max_time_s=-inf"],
         ["bounds", *TOY, "--set", "discard_s=inf"],
         ["sweep", *TOY, "--field", "w_sat", "--values", "0.2,inf"],
+        ["simulate", *TOY, "--set", "mode=day_profile", "--set", "profile_file=no-such-profile.csv"],
+        ["sweep", *TOY, "--set", "city_file=no-such-city.csv", "--field", "w_sat", "--values", "0.2"],
     ],
     ids=[
         "negative-samples",
@@ -315,6 +317,8 @@ class TestInferMap:
         "set-negative-inf-max-time",
         "bounds-inf-discard",
         "sweep-inf-value",
+        "missing-profile-file",
+        "missing-city-file",
     ],
 )
 def test_rejected_invocation_creates_no_output_dir(tmp_path, argv):

@@ -25,6 +25,26 @@ FLOAT_FIELDS = [
     if f.type in (float, "float")
 ]
 
+# (section, field, value) breaking each range rule that a model type owns.
+MODEL_RULES = [
+    ("grid", "blocks_x", 0),
+    ("grid", "blocks_y", 0),
+    ("grid", "road_width_cells", 0),
+    ("grid", "block_size_cells", 0),
+    ("grid", "cell_size_m", 0.0),
+    ("radio", "base_range_m", 0.0),
+    ("radio", "range_multiplier", -1.0),
+    ("radio", "nlos_penalty", -1),
+    ("battery", "standard_time_s", 0.0),
+    ("battery", "max_time_s", 1800.0),
+    ("traffic", "mode", "weekly"),
+    ("traffic", "arrival_rate_vps", -0.1),
+    ("traffic", "target_moving_vehicles", 0.0),
+    ("traffic", "mean_duration_s", 0.0),
+    ("traffic", "daily_total", -1),
+    ("traffic", "cruise_mean_s", 0.0),
+]
+
 
 class TestDefaults:
     def test_frozen_default_values(self):
@@ -121,6 +141,19 @@ class TestOverrides:
         setattr(getattr(cfg, section), field_name, -math.inf)
         with pytest.raises(ConfigurationError, match=rf"{section}\.{field_name} must be finite"):
             cfg.validate()
+
+    @pytest.mark.parametrize("section,field_name,value", MODEL_RULES, ids=[f for _, f, _ in MODEL_RULES])
+    def test_model_rule_names_field(self, section, field_name, value):
+        # validate applies these rules by building the model types.
+        with pytest.raises(ConfigurationError, match=rf"^{section}\.{field_name} "):
+            RunConfig.default().with_overrides(**{field_name: value})
+
+    @pytest.mark.parametrize(
+        "mode,field_name,value", [(DAY_PROFILE, "mean_duration_s", -1), ("uniform", "cruise_mean_s", 0)]
+    )
+    def test_inactive_mode_fields_rejected(self, mode, field_name, value):
+        with pytest.raises(ConfigurationError, match=rf"^traffic\.{field_name} "):
+            RunConfig.default().with_overrides(mode=mode, **{field_name: value})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match=r"sim\.seed"):
@@ -233,6 +266,13 @@ class TestBuilders:
         assert m.mode == DAY_PROFILE
         assert m.daily_total == 2000
         assert sum(m.hourly_weights) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_profile_without_positive_weight_sum_rejected(self, weight, tmp_path):
+        p = tmp_path / "profile.csv"
+        p.write_text("".join(f"{h},{weight},3600,0.5\n" for h in range(24)))
+        with pytest.raises(ConfigurationError, match="hourly_weights"):
+            RunConfig.default().with_overrides(mode=DAY_PROFILE, profile_file=str(p))
 
     def test_grid_builder_from_city_file(self, tmp_path, one_block):
         from parkrsu.grid import save_city

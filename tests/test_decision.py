@@ -63,7 +63,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScoringWeights(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [dict(standard_time_s=0), dict(max_time_s=1800.0), dict(standard_time_s=-5)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(standard_time_s=0), dict(max_time_s=1800.0), dict(standard_time_s=-5), dict(standard_time_s=math.nan)],
+    )
     def test_bad_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):
             BatteryPolicy(**kwargs)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,8 @@ class TestCityGridValidation:
     def test_bad_cell_size_rejected(self):
         with pytest.raises(ConfigurationError):
             CityGrid(1, 1, np.ones((1, 1), bool), np.zeros((1, 1), bool), cell_size_m=0.0)
+        with pytest.raises(ConfigurationError):
+            CityGrid(1, 1, np.ones((1, 1), bool), np.zeros((1, 1), bool), cell_size_m=math.nan)
 
     def test_masks_become_readonly(self):
         g = grid_10()

@@ -57,6 +57,7 @@ class TestPropagationConfig:
             dict(band_edges_m=(10, 20, 30, 100)),  # last edge != max range
             dict(band_edges_m=(-5, 10, 20, 155)),  # only the source would reach class 5
             dict(band_edges_m=(0, 10, 20, 155)),
+            dict(base_range_m=math.nan),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -66,6 +66,8 @@ class TestParkingModelValidation:
             dict(mode=DAY_PROFILE, hourly_weights=(1.0,) * 23),
             dict(mode=DAY_PROFILE, hourly_weights=(0.0,) * 24),
             dict(mode=DAY_PROFILE, duration_law=((0.0, 0.5),) * 24),
+            dict(arrival_rate_vps=math.nan),
+            dict(arrival_rate_vps=math.inf),
         ],
     )
     def test_invalid_models_rejected(self, kwargs):
