@@ -13,19 +13,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .decision import BatteryPolicy, ScoringWeights
 from .errors import ConfigurationError
 from .grid import DEFAULT_CELL_SIZE_M, CityGrid, build_manhattan_city, load_city
+from .maps import DEFAULT_MIN_SAMPLES
 from .radio import DEFAULT_NOISE_SD, PropagationConfig
-from .traffic import (
-    DAY_PROFILE,
-    DEFAULT_DAY_PROFILE,
-    UNIFORM,
-    ParkingModel,
-    load_day_profile,
-    profile_fields,
-)
+from .traffic import DAY_PROFILE, DEFAULT_SPEED_MPS, ParkingModel, load_day_profile, profile_fields
 
 
 @dataclass
@@ -40,41 +35,41 @@ class GridSection:
 
 @dataclass
 class RadioSection:
-    base_range_m: float = 155.0
-    range_multiplier: float = 1.0
-    nlos_penalty: int = 2
+    base_range_m: float = PropagationConfig.base_range_m
+    range_multiplier: float = PropagationConfig.range_multiplier
+    nlos_penalty: int = PropagationConfig.nlos_penalty
     noise_sd: float = DEFAULT_NOISE_SD
 
 
 @dataclass
 class MapsSection:
-    min_samples: int = 5
+    min_samples: int = DEFAULT_MIN_SAMPLES
 
 
 @dataclass
 class DecisionSection:
-    w_sig: float = 1.0
-    w_sat: float = 0.2
-    w_cov: float = 0.3
-    w_bat: float = 0.0
+    w_sig: float = ScoringWeights.signal
+    w_sat: float = ScoringWeights.saturation
+    w_cov: float = ScoringWeights.coverage
+    w_bat: float = ScoringWeights.battery
     learning_period_s: float = 60.0
 
 
 @dataclass
 class BatterySection:
-    standard_time_s: float = 1800.0
-    max_time_s: float = 3600.0
+    standard_time_s: float = BatteryPolicy.standard_time_s
+    max_time_s: float = BatteryPolicy.max_time_s
 
 
 @dataclass
 class TrafficSection:
-    mode: str = UNIFORM
-    arrival_rate_vps: float = 0.5
-    target_moving_vehicles: float = 55.0
-    mean_duration_s: float = 3600.0
-    speed_mps: float = 8.0
-    daily_total: int = 4000
-    cruise_mean_s: float = 120.0
+    mode: str = ParkingModel.mode
+    arrival_rate_vps: float = ParkingModel.arrival_rate_vps
+    target_moving_vehicles: float = ParkingModel.target_moving_vehicles
+    mean_duration_s: float = ParkingModel.mean_duration_s
+    speed_mps: float = DEFAULT_SPEED_MPS
+    daily_total: int = ParkingModel.daily_total
+    cruise_mean_s: float = ParkingModel.cruise_mean_s
     profile_file: str = ""
 
 
@@ -154,7 +149,12 @@ class RunConfig:
         cfg.validate()
         return cfg
 
-    def validate(self) -> None:
+    def validate(self) -> "RunModels":
+        """Check every field and build the run's models, each once.
+
+        The model types own their range rules; building them applies those
+        rules and reads the city and profile files.
+        """
         # A non-finite value is reported by name before any range rule sees
         # it. The one meaningful non-finite value is battery.max_time_s =
         # +inf: no cap on a duty.
@@ -172,11 +172,7 @@ class RunConfig:
             raise ConfigurationError("radio.noise_sd must be non-negative")
         if self.maps.min_samples < 1:
             raise ConfigurationError("maps.min_samples must be >= 1")
-        d = self.decision
-        for name in ("w_sig", "w_sat", "w_cov", "w_bat"):
-            if getattr(d, name) < 0:
-                raise ConfigurationError(f"decision.{name} must be non-negative")
-        if d.learning_period_s <= 0:
+        if self.decision.learning_period_s <= 0:
             raise ConfigurationError("decision.learning_period_s must be positive")
         if self.traffic.speed_mps <= 0:
             raise ConfigurationError("traffic.speed_mps must be positive")
@@ -191,12 +187,13 @@ class RunConfig:
             raise ConfigurationError("sim.discard_s must be non-negative")
         if s.bounds_fill_count < 1:
             raise ConfigurationError("sim.bounds_fill_count must be >= 1")
-        # The model types own every other range rule; building them applies
-        # those rules and reads the city and profile files.
-        build_grid(self)
-        build_propagation(self)
-        build_policy(self)
-        build_parking_model(self)
+        return RunModels(
+            build_grid(self),
+            build_propagation(self),
+            build_weights(self),
+            build_policy(self),
+            build_parking_model(self),
+        )
 
     def to_ini(self) -> str:
         lines = []
@@ -211,6 +208,16 @@ class RunConfig:
     def digest(self) -> str:
         payload = json.dumps(self.flat_items(), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class RunModels(NamedTuple):
+    """The model objects of one run, as RunConfig.validate builds them."""
+
+    grid: CityGrid
+    prop: PropagationConfig
+    weights: ScoringWeights
+    policy: BatteryPolicy
+    model: ParkingModel
 
 
 def _flat_registry() -> dict[str, tuple[str, object]]:
@@ -274,13 +281,19 @@ def build_policy(cfg: RunConfig) -> BatteryPolicy:
 
 def build_parking_model(cfg: RunConfig) -> ParkingModel:
     t = cfg.traffic
-    profile = load_day_profile(t.profile_file) if t.profile_file else DEFAULT_DAY_PROFILE
-    return ParkingModel(
+    model = ParkingModel(
         mode=t.mode,
         arrival_rate_vps=t.arrival_rate_vps,
         target_moving_vehicles=t.target_moving_vehicles,
         mean_duration_s=t.mean_duration_s,
         daily_total=t.daily_total,
         cruise_mean_s=t.cruise_mean_s,
-        **profile_fields(profile),
     )
+    if not t.profile_file:
+        return model
+    profile = profile_fields(load_day_profile(t.profile_file))
+    # The scalar fields passed above, so a rule broken now is the file's.
+    try:
+        return dataclasses.replace(model, **profile)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"traffic.profile_file {t.profile_file}: {exc}") from None

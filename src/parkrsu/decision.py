@@ -47,10 +47,9 @@ class ScoringWeights:
     battery: float = 0.0
 
     def __post_init__(self):
-        for name in ("signal", "saturation", "coverage", "battery"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"weight {name} must be finite and non-negative")
+        for name, key in (("signal", "w_sig"), ("saturation", "w_sat"), ("coverage", "w_cov"), ("battery", "w_bat")):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"decision.{key} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

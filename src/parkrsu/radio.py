@@ -107,6 +107,11 @@ def cells_on_segment(a: Cell, b: Cell) -> list[Cell]:
     return cells
 
 
+def _band_class(d: float, cfg: PropagationConfig) -> int:
+    """Distance-band class at d metres: 5 within the first edge down to 2 within the last, else 0."""
+    return next((MAX_STRENGTH - i for i, edge in enumerate(cfg.band_edges_m) if d <= edge), 0)
+
+
 def strength(tx: Cell, rx: Cell, grid: CityGrid, cfg: PropagationConfig) -> int:
     """Signal strength class between two cells (0 when out of range).
 
@@ -120,18 +125,9 @@ def strength(tx: Cell, rx: Cell, grid: CityGrid, cfg: PropagationConfig) -> int:
         raise OutOfBoundsError(f"rx cell {tuple(rx)} outside grid")
     if tx == rx:
         return MAX_STRENGTH
-    d = math.hypot(rx.x - tx.x, rx.y - tx.y) * grid.cell_size_m
-    e1, e2, e3, e4 = cfg.band_edges_m
-    if d > e4:
+    cls = _band_class(math.hypot(rx.x - tx.x, rx.y - tx.y) * grid.cell_size_m, cfg)
+    if not cls:
         return 0
-    if d <= e1:
-        cls = 5
-    elif d <= e2:
-        cls = 4
-    elif d <= e3:
-        cls = 3
-    else:
-        cls = 2
     if cfg.nlos_penalty:
         for cell in cells_on_segment(tx, rx)[1:-1]:
             if grid.is_obstruction(cell):
@@ -257,22 +253,14 @@ class _Stencil:
         self.stride = grid.height + 2 * r
         self.usable = np.pad(grid.usable, r).ravel()
         self.obstruction = np.pad(grid.obstruction, r).ravel()
-        e1, e2, e3, e4 = cfg.band_edges_m
         offsets: list[tuple[int, int, int]] = []
         paths: list[list[Cell]] = []
         for dx in range(-r, r + 1):
             for dy in range(-r, r + 1):
-                # The same comparisons as strength(), on the same distance.
-                d = math.hypot(dx, dy) * grid.cell_size_m
-                if dx == dy == 0 or d <= e1:
-                    cls = MAX_STRENGTH
-                elif d <= e2:
-                    cls = 4
-                elif d <= e3:
-                    cls = 3
-                elif d <= e4:
-                    cls = 2
-                else:
+                # strength()'s band rule on strength()'s distance; the zero
+                # offset lands in the first band.
+                cls = _band_class(math.hypot(dx, dy) * grid.cell_size_m, cfg)
+                if not cls:
                     continue
                 offsets.append((dx, dy, cls))
                 paths.append(cells_on_segment(Cell(0, 0), Cell(dx, dy))[1:-1])

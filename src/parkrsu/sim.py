@@ -19,14 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import (
-    RunConfig,
-    build_grid,
-    build_parking_model,
-    build_policy,
-    build_propagation,
-    build_weights,
-)
+from .config import RunConfig
 from .decision import (
     ActiveRsu,
     CandidatePool,
@@ -37,7 +30,7 @@ from .decision import (
     reach_levels,
 )
 from .errors import ConfigurationError
-from .grid import Cell, CityGrid
+from .grid import Cell
 from .maps import CoverageMap, CoverageMapBuilder
 from .radio import FootprintCache, sample_rssi_many
 from .traffic import TrafficProcess, Vehicle, should_depart
@@ -140,13 +133,8 @@ class Simulation:
     """Owns all mutable run state; build once, run once."""
 
     def __init__(self, config: RunConfig):
-        config.validate()
         self.config = config
-        self.grid = build_grid(config)
-        self.prop = build_propagation(config)
-        self.weights = build_weights(config)
-        self.policy = build_policy(config)
-        self.model = build_parking_model(config)
+        self.grid, self.prop, self.weights, self.policy, self.model = config.validate()
         seed = config.sim.seed
         self._rng_traffic = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self._rng_beacons = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -457,19 +445,18 @@ def _traffic_tick(
     return parked, departed
 
 
-def _warmed_up_parked_cells(config: RunConfig, rng: np.random.Generator, grid: CityGrid) -> list[Cell]:
-    """Cells of the cars the config's own traffic leaves parked, in parking order.
+def _warmed_up_parked_cells(traffic: TrafficProcess, discard_s: float) -> list[Cell]:
+    """Cells of the cars the traffic leaves parked after discard_s, in parking order.
 
     Runs the simulation's traffic lifecycle alone (no radio, no decisions)
-    from t=0 for the config's discard window, so the snapshot reflects where
+    from t=0 for the discard window, so the snapshot reflects where
     vehicles actually park, including the extra weight busy cells such as
     intersections receive.
     """
-    traffic = TrafficProcess(build_parking_model(config), grid, rng, speed_mps=config.traffic.speed_mps)
     moving: dict[int, Vehicle] = {}
     departures: list[tuple[float, int, Vehicle]] = []
     parked: dict[int, Vehicle] = {}
-    for tick in range(max(1, int(round(config.sim.discard_s)))):
+    for tick in range(max(1, int(round(discard_s)))):
         now_parked, departed = _traffic_tick(traffic, moving, departures, float(tick))
         for v in now_parked:
             parked[v.vid] = v
@@ -489,14 +476,15 @@ def random_assignment_bounds(
     config's own traffic process (capped at bounds_fill_count cars); each
     sample activates a uniformly random number of them at random membership
     and measures the resulting network. Empty draws carry no defined means;
-    they are skipped and counted.
+    they are skipped and counted. An invalid config raises
+    ConfigurationError naming the field, as RunConfig.validate does.
     """
+    grid, prop, _, _, model = config.validate()
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([config.sim.seed, 2]))
-    grid = build_grid(config)
-    prop = build_propagation(config)
     cache = FootprintCache(grid, prop)
-    fill_cells = _warmed_up_parked_cells(config, rng, grid)
+    traffic = TrafficProcess(model, grid, rng, speed_mps=config.traffic.speed_mps)
+    fill_cells = _warmed_up_parked_cells(traffic, config.sim.discard_s)
     if not fill_cells:
         raise ConfigurationError(
             "parking process left no parked vehicles to assign; "

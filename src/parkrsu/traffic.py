@@ -69,6 +69,20 @@ class Vehicle:
     planned_duration_s: float | None = None
 
 
+def profile_fields(profile: Sequence[tuple[float, float, float]]) -> dict[str, tuple]:
+    """ParkingModel's hourly_weights (scaled to sum to 1) and duration_law for a day profile.
+
+    A non-positive weight sum is passed on unscaled, for ParkingModel to reject.
+    """
+    total_w = sum(w for w, _, _ in profile)
+    if not total_w > 0:
+        total_w = 1.0
+    return dict(
+        hourly_weights=tuple(w / total_w for w, _, _ in profile),
+        duration_law=tuple((m, s) for _, m, s in profile),
+    )
+
+
 @dataclass(frozen=True)
 class ParkingModel:
     """Arrival and parking regime; exactly one mode's fields are consulted, all are checked.
@@ -88,8 +102,8 @@ class ParkingModel:
     mean_duration_s: float = 3600.0
     daily_total: int = 4000
     cruise_mean_s: float = 120.0
-    hourly_weights: tuple[float, ...] = tuple(w for w, _, _ in DEFAULT_DAY_PROFILE)
-    duration_law: tuple[tuple[float, float], ...] = tuple((m, s) for _, m, s in DEFAULT_DAY_PROFILE)
+    hourly_weights: tuple[float, ...] = profile_fields(DEFAULT_DAY_PROFILE)["hourly_weights"]
+    duration_law: tuple[tuple[float, float], ...] = profile_fields(DEFAULT_DAY_PROFILE)["duration_law"]
 
     def __post_init__(self):
         if self.mode not in (UNIFORM, DAY_PROFILE):
@@ -143,24 +157,10 @@ def load_day_profile(path) -> tuple[tuple[float, float, float], ...]:
     return tuple(rows[h] for h in range(24))
 
 
-def profile_fields(profile: Sequence[tuple[float, float, float]]) -> dict[str, tuple]:
-    """ParkingModel's hourly_weights (scaled to sum to 1) and duration_law for a day profile.
-
-    A non-positive weight sum is passed on unscaled, for ParkingModel to reject.
-    """
-    total_w = sum(w for w, _, _ in profile)
-    if not total_w > 0:
-        total_w = 1.0
-    return dict(
-        hourly_weights=tuple(w / total_w for w, _, _ in profile),
-        duration_law=tuple((m, s) for _, m, s in profile),
-    )
-
-
 def day_profile_model(
     daily_total: int,
     profile: Sequence[tuple[float, float, float]] = DEFAULT_DAY_PROFILE,
-    cruise_mean_s: float = 120.0,
+    cruise_mean_s: float = ParkingModel.cruise_mean_s,
 ) -> ParkingModel:
     return ParkingModel(
         mode=DAY_PROFILE, daily_total=daily_total, cruise_mean_s=cruise_mean_s, **profile_fields(profile)

@@ -73,6 +73,24 @@ class TestSimulate:
         assert toy_simulate(tmp_path, "--set", "base_range_m=inf") == 2
         assert "radio.base_range_m must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row,rule",
+        [("0,3600,0.5", "hourly_weights"), ("1,0,0.5", "duration_law")],
+        ids=["zero-weights", "zero-median"],
+    )
+    def test_bad_profile_exits_2_naming_file(self, tmp_path, capsys, row, rule):
+        # The rows parse; the profile's own rules reject them, and the message
+        # must point at the file they came from.
+        profile = tmp_path / "profile.csv"
+        profile.write_text("".join(f"{h},{row}\n" for h in range(24)))
+        out = tmp_path / "out"
+        argv = ["--set", "mode=day_profile", "--set", f"profile_file={profile}"]
+        assert main(["simulate", *TOY, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: traffic.profile_file {profile}: ")
+        assert rule in err
+        assert not out.exists()
+
     def test_infinite_max_time_disables_battery_cap(self, tmp_path):
         def forced_ends(max_time: str) -> int:
             out = tmp_path / max_time

@@ -13,8 +13,10 @@ from parkrsu.config import (
     build_propagation,
     build_weights,
 )
+from parkrsu.decision import BatteryPolicy, ScoringWeights
 from parkrsu.errors import ConfigurationError
-from parkrsu.traffic import DAY_PROFILE
+from parkrsu.radio import PropagationConfig
+from parkrsu.traffic import DAY_PROFILE, ParkingModel
 
 
 # (section, field) for every float config field.
@@ -35,6 +37,10 @@ MODEL_RULES = [
     ("radio", "base_range_m", 0.0),
     ("radio", "range_multiplier", -1.0),
     ("radio", "nlos_penalty", -1),
+    ("decision", "w_sig", -1.0),
+    ("decision", "w_sat", -0.1),
+    ("decision", "w_cov", -1.0),
+    ("decision", "w_bat", -1.0),
     ("battery", "standard_time_s", 0.0),
     ("battery", "max_time_s", 1800.0),
     ("traffic", "mode", "weekly"),
@@ -66,6 +72,13 @@ class TestDefaults:
         assert cfg.traffic.speed_mps == 8.0
         assert (cfg.sim.duration_s, cfg.sim.seed, cfg.sim.discard_s) == (7200.0, 1, 1800.0)
         assert cfg.sim.always_grow is False
+
+    def test_models_built_from_defaults_equal_the_types_defaults(self):
+        cfg = RunConfig()
+        assert build_propagation(cfg) == PropagationConfig()
+        assert build_weights(cfg) == ScoringWeights()
+        assert build_policy(cfg) == BatteryPolicy()
+        assert build_parking_model(cfg) == ParkingModel()
 
     def test_default_city_dimensions(self):
         g = build_grid(RunConfig.default())
@@ -249,6 +262,19 @@ class TestBuilders:
     def test_policy_builder(self):
         pol = build_policy(RunConfig.default().with_overrides(max_time_s=7200.0))
         assert (pol.standard_time_s, pol.max_time_s) == (1800.0, 7200.0)
+
+    def test_weights_reject_negative_naming_config_field(self):
+        with pytest.raises(ConfigurationError, match=r"^decision\.w_sig "):
+            ScoringWeights(signal=-1)
+
+    def test_validate_returns_the_built_models(self):
+        cfg = RunConfig.default().with_overrides(w_bat=0.5, max_time_s=7200.0, range_multiplier=2.0)
+        grid, prop, weights, policy, model = cfg.validate()
+        assert (grid.width, grid.height) == (33, 33)
+        assert prop == build_propagation(cfg)
+        assert weights == build_weights(cfg)
+        assert policy == build_policy(cfg)
+        assert model == build_parking_model(cfg)
 
     def test_unbounded_battery_via_inf(self):
         pol = build_policy(RunConfig.default().with_overrides(max_time_s=math.inf))

@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+import parkrsu.config
 from parkrsu.config import RunConfig, build_grid, build_propagation
 from parkrsu.errors import ConfigurationError
+from parkrsu.grid import save_city
 from parkrsu.radio import FootprintCache
 from parkrsu.sim import (
     BOUNDS_HEADER,
@@ -41,6 +43,7 @@ from parkrsu.sim import (
     write_manifest,
     write_metrics_csv,
 )
+from parkrsu.traffic import TrafficProcess
 
 from oracles import mean_sd
 
@@ -574,6 +577,14 @@ class TestRandomAssignmentBounds:
         with pytest.raises(ConfigurationError):
             random_assignment_bounds(cfg, 10)
 
+    @pytest.mark.parametrize("field_name,value", [("bounds_fill_count", 0), ("discard_s", -5.0)])
+    def test_invalid_config_rejected_naming_field(self, field_name, value):
+        # Set on the object, so no parsing or with_overrides checked it.
+        cfg = RunConfig()
+        setattr(cfg.sim, field_name, value)
+        with pytest.raises(ConfigurationError, match=rf"^sim\.{field_name} "):
+            random_assignment_bounds(cfg, 10)
+
     def test_fill_count_caps_population(self):
         cfg = make_config(bounds_fill_count=50, discard_s=600.0)
         result = random_assignment_bounds(cfg, 10)
@@ -590,7 +601,8 @@ class TestRandomAssignmentBounds:
         sim = Simulation(cfg)
         sim.run()
         rng = np.random.default_rng(np.random.SeedSequence([cfg.sim.seed, 0]))
-        warm = _warmed_up_parked_cells(cfg, rng, build_grid(cfg))
+        traffic = TrafficProcess(sim.model, sim.grid, rng, speed_mps=cfg.traffic.speed_mps)
+        warm = _warmed_up_parked_cells(traffic, cfg.sim.discard_s)
         assert warm
         assert warm == [v.cell for v in sim._vehicles.values()]
 
@@ -605,8 +617,9 @@ class TestRandomAssignmentBounds:
         result = random_assignment_bounds(cfg, num_samples)
 
         rng = np.random.default_rng(np.random.SeedSequence([cfg.sim.seed, 2]))
-        grid = build_grid(cfg)
-        fill = _warmed_up_parked_cells(cfg, rng, grid)
+        grid, _, _, _, model = cfg.validate()
+        traffic = TrafficProcess(model, grid, rng, speed_mps=cfg.traffic.speed_mps)
+        fill = _warmed_up_parked_cells(traffic, cfg.sim.discard_s)
         assert len(fill) > cfg.sim.bounds_fill_count
         keep = rng.choice(len(fill), size=cfg.sim.bounds_fill_count, replace=False)
         fill = [fill[int(i)] for i in sorted(keep)]
@@ -635,6 +648,19 @@ class TestRandomAssignmentBounds:
         assert a.fill_cells == b.fill_cells
         assert a.samples == b.samples
         assert a.skipped == b.skipped
+
+
+def test_city_file_read_once_per_run(tmp_path, monkeypatch):
+    city = tmp_path / "city.txt"
+    save_city(build_grid(toy_config()), city)
+    cfg = toy_config(city_file=str(city), bounds_fill_count=6)
+    calls = []
+    load_city = parkrsu.config.load_city
+    monkeypatch.setattr(parkrsu.config, "load_city", lambda *a, **kw: calls.append(a) or load_city(*a, **kw))
+    Simulation(cfg)
+    assert len(calls) == 1
+    random_assignment_bounds(cfg, 10)
+    assert len(calls) == 2
 
 
 class TestCsvWriters:
