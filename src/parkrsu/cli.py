@@ -18,11 +18,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import RunConfig
+from .config import RunConfig, _read_ini
 from .errors import ConfigurationError, MalformedLineError, OutOfBoundsError
 from .maps import DEFAULT_MIN_SAMPLES, CoverageMapBuilder, read_beacon_log, write_cell_stats_csv, write_coverage_csv
 from .sim import (
     RunResult,
+    Simulation,
     random_assignment_bounds,
     run,
     steady_state_stats,
@@ -95,13 +96,13 @@ def _out_dir(args: argparse.Namespace) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig.default()
-    overrides: dict[str, object] = {}
+    """Parse the file, --set and flags (flags win) in one pass; the run object validates."""
+    items: dict[str, object] = _read_ini(args.config) if args.config else {}
     for item in args.overrides:
         if "=" not in item:
             raise ConfigurationError(f"--set expects FIELD=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        items[key.strip()] = value.strip()
     for flag, name in (
         ("seed", "seed"),
         ("duration", "duration_s"),
@@ -112,8 +113,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     ):
         value = getattr(args, flag, None)
         if value is not None:
-            overrides[name] = value
-    return cfg.with_overrides(**overrides) if overrides else cfg
+            items[name] = value
+    return RunConfig()._parsed(items)
 
 
 def _write_run_artifacts(cfg: RunConfig, result: RunResult, out: str) -> None:
@@ -141,18 +142,13 @@ def _print_summary(cfg: RunConfig, result: RunResult) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    sim = Simulation(cfg)
     out = _out_dir(args)
-    result = run(cfg)
+    result = sim.run()
     _write_run_artifacts(cfg, result, out)
     _print_summary(cfg, result)
     print(f"wrote metrics.csv, lifetimes.csv, commands.csv, manifest.json to {out}")
     return 0
-
-
-def _sweep_point(payload: tuple[RunConfig, str, str, int]) -> tuple[RunConfig, RunResult]:
-    base, field_name, value, seed = payload
-    cfg = base.with_overrides(**{field_name: value, "seed": seed})
-    return cfg, run(cfg)
 
 
 _SWEEP_METRICS = ("active_rsus", "coverage_pct", "mean_signal", "mean_saturation", "area_per_rsu_m2")
@@ -167,21 +163,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError("--seeds must be >= 1")
     if args.field == "seed":
         raise ConfigurationError("--field seed cannot be swept; use --seeds to run consecutive seeds")
-    # Validate every point up front so a bad value fails before any run starts.
-    for v in values:
-        base.with_overrides(**{args.field: v})
-    out = _out_dir(args)
+    if args.jobs < 1:
+        raise ConfigurationError("--jobs must be >= 1")
     seeds = [base.sim.seed + i for i in range(args.seeds)]
-    payloads = [(base, args.field, v, s) for v in values for s in seeds]
+    points = [(v, s) for v in values for s in seeds]
+    configs = [base._parsed({args.field: v, "seed": s}) for v, s in points]
+    # Validate one point per value up front so a bad value fails before any run starts.
+    for cfg in configs[:: len(seeds)]:
+        cfg.validate()
+    out = _out_dir(args)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_sweep_point, payloads))
+            results = list(pool.map(run, configs))
     else:
-        outcomes = [_sweep_point(p) for p in payloads]
+        results = [run(cfg) for cfg in configs]
 
     rows = []
     by_value: dict[str, list] = {}
-    for i, ((_, _, value, seed), (cfg, result)) in enumerate(zip(payloads, outcomes)):
+    for i, ((value, seed), cfg, result) in enumerate(zip(points, configs, results)):
         run_dir = os.path.join(out, f"run_{i:03d}")
         os.makedirs(run_dir, exist_ok=True)
         _write_run_artifacts(cfg, result, run_dir)
@@ -274,8 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, MalformedLineError, OutOfBoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc.filename or exc}: no such file", file=sys.stderr)
+    except OSError as exc:
+        reason = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"error: {exc.filename or exc}: {reason}", file=sys.stderr)
         return 2
 
 

@@ -5,8 +5,6 @@ package modules, so configs diff cleanly and any field can be overridden
 from the command line by its flat name.
 """
 
-from __future__ import annotations
-
 import configparser
 import dataclasses
 import hashlib
@@ -92,6 +90,9 @@ _SECTIONS = {
     "sim": SimSection,
 }
 
+# Flat field name -> (section name, field type); every flat name is unique.
+_FIELDS = {f.name: (name, f.type) for name, cls in _SECTIONS.items() for f in fields(cls)}
+
 
 @dataclass
 class RunConfig:
@@ -109,44 +110,27 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        with open(path) as fh:
-            parser.read_file(fh, source=str(path))
-        for section_name in parser.sections():
-            if section_name not in _SECTIONS:
-                raise ConfigurationError(f"{path}: unknown section [{section_name}]")
-        cfg = cls()
-        for section_name, section_cls in _SECTIONS.items():
-            if not parser.has_section(section_name):
-                continue
-            target = getattr(cfg, section_name)
-            known = {f.name: f for f in fields(section_cls)}
-            for key, raw in parser.items(section_name):
-                if key not in known:
-                    raise ConfigurationError(f"{path}: unknown field {section_name}.{key}")
-                setattr(target, key, _coerce(section_name, key, raw, known[key].type))
+        cfg = cls()._parsed(_read_ini(path))
         cfg.validate()
         return cfg
 
     def flat_items(self) -> dict[str, object]:
-        out = {}
-        for section_name in _SECTIONS:
-            section = getattr(self, section_name)
-            for f in fields(section):
-                out[f.name] = getattr(section, f.name)
-        return out
+        return {name: getattr(getattr(self, section_name), name) for name, (section_name, _) in _FIELDS.items()}
 
     def with_overrides(self, **overrides) -> "RunConfig":
         """Copy with flat-name field overrides (e.g. w_sat=0.3, seed=7)."""
-        cfg = RunConfig(**{name: dataclasses.replace(getattr(self, name)) for name in _SECTIONS})
-        registry = _flat_registry()
-        for key, value in overrides.items():
-            if key not in registry:
-                raise ConfigurationError(f"unknown config field {key!r}")
-            section_name, ftype = registry[key]
-            section = getattr(cfg, section_name)
-            setattr(section, key, _coerce(section_name, key, value, ftype))
+        cfg = self._parsed(overrides)
         cfg.validate()
+        return cfg
+
+    def _parsed(self, items: dict[str, object]) -> "RunConfig":
+        """Copy with flat-name fields parsed from text or values, unchecked."""
+        cfg = RunConfig(**{name: dataclasses.replace(getattr(self, name)) for name in _SECTIONS})
+        for key, raw in items.items():
+            if key not in _FIELDS:
+                raise ConfigurationError(f"unknown config field {key!r}")
+            section_name, ftype = _FIELDS[key]
+            setattr(getattr(cfg, section_name), key, _coerce(section_name, key, raw, ftype))
         return cfg
 
     def validate(self) -> "RunModels":
@@ -158,16 +142,14 @@ class RunConfig:
         # A non-finite value is reported by name before any range rule sees
         # it. The one meaningful non-finite value is battery.max_time_s =
         # +inf: no cap on a duty.
-        for section_name in _SECTIONS:
-            section = getattr(self, section_name)
-            for f in fields(section):
-                value = getattr(section, f.name)
-                if f.type not in (float, "float") or math.isfinite(value):
-                    continue
-                if math.isnan(value):
-                    raise ConfigurationError(f"{section_name}.{f.name}: NaN is not a value")
-                if (section_name, f.name, value) != ("battery", "max_time_s", math.inf):
-                    raise ConfigurationError(f"{section_name}.{f.name} must be finite")
+        for name, (section_name, ftype) in _FIELDS.items():
+            value = getattr(getattr(self, section_name), name)
+            if ftype is not float or math.isfinite(value):
+                continue
+            if math.isnan(value):
+                raise ConfigurationError(f"{section_name}.{name}: NaN is not a value")
+            if (section_name, name, value) != ("battery", "max_time_s", math.inf):
+                raise ConfigurationError(f"{section_name}.{name} must be finite")
         if self.radio.noise_sd < 0:
             raise ConfigurationError("radio.noise_sd must be non-negative")
         if self.maps.min_samples < 1:
@@ -220,17 +202,23 @@ class RunModels(NamedTuple):
     model: ParkingModel
 
 
-def _flat_registry() -> dict[str, tuple[str, object]]:
-    registry = {}
-    for section_name, section_cls in _SECTIONS.items():
-        for f in fields(section_cls):
-            registry[f.name] = (section_name, f.type)
-    return registry
+def _read_ini(path) -> dict[str, str]:
+    """Flat name -> raw text of every field in an INI config file."""
+    parser = configparser.ConfigParser()
+    with open(path) as fh:
+        parser.read_file(fh, source=str(path))
+    items = {}
+    for section_name in parser.sections():
+        if section_name not in _SECTIONS:
+            raise ConfigurationError(f"{path}: unknown section [{section_name}]")
+        for key, raw in parser.items(section_name):
+            if key not in _FIELDS or _FIELDS[key][0] != section_name:
+                raise ConfigurationError(f"{path}: unknown field {section_name}.{key}")
+            items[key] = raw
+    return items
 
 
 def _coerce(section: str, key: str, raw, ftype):
-    if isinstance(ftype, str):
-        ftype = {"int": int, "float": float, "str": str, "bool": bool}.get(ftype, str)
     try:
         if ftype is bool:
             if isinstance(raw, bool):

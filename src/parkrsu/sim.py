@@ -168,8 +168,12 @@ class Simulation:
         self.parking_events = 0
         self.assignments = 0
         self.decisions = 0
+        self._ran = False
 
     def run(self) -> RunResult:
+        if self._ran:
+            raise RuntimeError("Simulation.run is single-use; build a new Simulation to run again")
+        self._ran = True
         duration = int(round(self.config.sim.duration_s))
         for t_i in range(duration):
             self._tick(float(t_i))

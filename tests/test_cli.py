@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 
 import parkrsu
+import parkrsu.config
 from parkrsu.cli import SWEEP_HEADER, main
 from parkrsu.config import RunConfig, build_grid, build_propagation
+from parkrsu.grid import save_city
 from parkrsu.maps import write_beacon_log
 from parkrsu.radio import synthesize_beacon_log
 from parkrsu.sim import BOUNDS_HEADER, METRICS_HEADER
@@ -311,6 +314,8 @@ class TestInferMap:
         ["sweep", *TOY, "--field", "w_sat", "--values", "0.2,inf"],
         ["simulate", *TOY, "--set", "mode=day_profile", "--set", "profile_file=no-such-profile.csv"],
         ["sweep", *TOY, "--set", "city_file=no-such-city.csv", "--field", "w_sat", "--values", "0.2"],
+        ["sweep", *TOY, "--field", "w_sat", "--values", "0.2", "--jobs", "0"],
+        ["sweep", *TOY, "--field", "w_sat", "--values", "0.2", "--jobs", "-1"],
     ],
     ids=[
         "negative-samples",
@@ -337,12 +342,69 @@ class TestInferMap:
         "sweep-inf-value",
         "missing-profile-file",
         "missing-city-file",
+        "jobs-0",
+        "jobs-negative",
     ],
 )
 def test_rejected_invocation_creates_no_output_dir(tmp_path, argv):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", *TOY, "--config", "{dir}"],
+        ["simulate", *TOY, "--set", "city_file={dir}"],
+        ["simulate", *TOY, "--set", "mode=day_profile", "--set", "profile_file={dir}"],
+        ["infer-map", "--log", "{dir}"],
+    ],
+    ids=["config", "city-file", "profile-file", "beacon-log"],
+)
+def test_directory_as_input_exits_2_naming_it(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+    assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert toy_simulate(out, "--duration", "0") == 2
+    assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.EEXIST)}\n"
+
+
+def test_city_file_read_once_per_cli_run(tmp_path, monkeypatch):
+    # The run object does the one validation, so each run reads city_file
+    # once; a sweep also checks one point per value before any run starts.
+    city = tmp_path / "city.txt"
+    save_city(build_grid(RunConfig().with_overrides(blocks_x=2, blocks_y=2, block_size_cells=1)), city)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[grid]\ncity_file = {city}\n[sim]\nduration_s = 300\ndiscard_s = 200\nseed = 9\n")
+    reads = []
+    load_city = parkrsu.config.load_city
+
+    def counting_load_city(*args, **kwargs):
+        reads.append(args[0])
+        return load_city(*args, **kwargs)
+
+    monkeypatch.setattr(parkrsu.config, "load_city", counting_load_city)
+
+    def count(*argv) -> int:
+        reads.clear()
+        assert main([*argv, "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+        return len(reads)
+
+    counts = {
+        "simulate": count("simulate"),
+        "simulate --set": count("simulate", "--set", "w_sat=0.3"),
+        "bounds": count("bounds", "--samples", "10"),
+        "sweep": count("sweep", "--field", "w_sat", "--values", "0.1,0.3", "--seeds", "2"),
+    }
+    assert counts == {"simulate": 1, "simulate --set": 1, "bounds": 1, "sweep": 6}
 
 
 class TestEntryPoint:

@@ -180,6 +180,15 @@ class TestDeterminism:
         assert helper.commands == a.commands
 
 
+class TestSingleUse:
+    def test_second_run_raises_and_leaves_first_result(self):
+        sim = Simulation(make_config(blocks_x=2, blocks_y=2, block_size_cells=1, duration_s=300.0))
+        first = sim.run()
+        with pytest.raises(RuntimeError, match="single-use"):
+            sim.run()
+        assert [m.t for m in first.metrics] == [float(i) for i in range(300)]
+
+
 class TestMetricsInvariants:
     def test_sample_bounds_and_finiteness(self, default_run):
         _, result = default_run
