@@ -168,8 +168,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = [base.sim.seed + i for i in range(args.seeds)]
     points = [(v, s) for v in values for s in seeds]
     configs = [base._parsed({args.field: v, "seed": s}) for v, s in points]
-    # Validate one point per value up front so a bad value fails before any run starts.
-    for cfg in configs[:: len(seeds)]:
+    # Check one point per value up front so a bad or repeated value fails
+    # before any run starts. Values compare as parsed: 0.1 and 0.10 repeat.
+    first_seen: dict[object, str] = {}
+    for value, cfg in zip(values, configs[:: len(seeds)]):
+        parsed = cfg.flat_items()[args.field]
+        if parsed in first_seen:
+            raise ConfigurationError(
+                f"--values repeats {args.field}={parsed!r} (as {first_seen[parsed]!r} and {value!r})"
+            )
+        first_seen[parsed] = value
         cfg.validate()
     out = _out_dir(args)
     if args.jobs > 1:

@@ -33,16 +33,14 @@ class NoBeaconError(ValueError):
 class PropagationConfig:
     """Distance-band propagation with a line-of-sight penalty.
 
-    band_edges_m holds the four outer edges of classes 5 down to 2; beyond
-    the last edge the class is 0. When omitted, edges default to fixed
+    The four band edges, the outer edges of classes 5 down to 2, are fixed
     fractions of base_range_m * range_multiplier, so scaling the multiplier
-    scales every band edge by the same factor.
+    scales every edge by the same factor; beyond the last edge the class is 0.
     """
 
     base_range_m: float = 155.0
     range_multiplier: float = 1.0
     nlos_penalty: int = 2
-    band_edges_m: tuple[float, float, float, float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not 0 < self.base_range_m < math.inf:
@@ -51,58 +49,42 @@ class PropagationConfig:
             raise ConfigurationError("radio.range_multiplier must be positive and finite")
         if self.nlos_penalty < 0:
             raise ConfigurationError("radio.nlos_penalty must be non-negative")
-        max_range = self.base_range_m * self.range_multiplier
-        if self.band_edges_m is None:
-            edges = tuple(f * max_range for f in BAND_FRACTIONS)
-            object.__setattr__(self, "band_edges_m", edges)
-        else:
-            edges = tuple(float(e) for e in self.band_edges_m)
-            if len(edges) != 4:
-                raise ConfigurationError("band_edges_m must hold exactly four distances")
-            if not edges[0] > 0:
-                raise ConfigurationError("band_edges_m must start above zero")
-            if any(b <= a for a, b in zip(edges, edges[1:])):
-                raise ConfigurationError("band_edges_m must be strictly increasing")
-            if not math.isclose(edges[-1], max_range, rel_tol=1e-9):
-                raise ConfigurationError("last band edge must equal base_range_m * range_multiplier")
-            object.__setattr__(self, "band_edges_m", edges)
 
     @property
     def max_range_m(self) -> float:
-        return self.band_edges_m[-1]
+        return self.base_range_m * self.range_multiplier
+
+    @property
+    def band_edges_m(self) -> tuple[float, float, float, float]:
+        max_range = self.max_range_m
+        return tuple(f * max_range for f in BAND_FRACTIONS)
 
 
 def cells_on_segment(a: Cell, b: Cell) -> list[Cell]:
     """All cells crossed by the straight segment between two cell centers.
 
     Grid traversal stepping one boundary at a time; an exact corner crossing
-    steps diagonally. Endpoints are included.
+    steps diagonally. Endpoints are included. The segment crosses its i-th
+    x boundary at t = (2i + 1) / (2 |dx|) and its j-th y boundary at
+    t = (2j + 1) / (2 |dy|), so crossings are ordered by comparing the
+    integers (2i + 1) |dy| and (2j + 1) |dx|: the traversal is exact, and
+    b to a crosses the cells of a to b in reverse.
     """
     cells = [a]
-    if a == b:
-        return cells
     x, y = a.x, a.y
-    dx = b.x - a.x
-    dy = b.y - a.y
-    step_x = 1 if dx > 0 else -1
-    step_y = 1 if dy > 0 else -1
-    inf = math.inf
-    t_dx = 1.0 / abs(dx) if dx else inf
-    t_dy = 1.0 / abs(dy) if dy else inf
-    t_max_x = 0.5 * t_dx if dx else inf
-    t_max_y = 0.5 * t_dy if dy else inf
+    adx, ady = abs(b.x - a.x), abs(b.y - a.y)
+    step_x = 1 if b.x > a.x else -1
+    step_y = 1 if b.y > a.y else -1
+    # Next crossing times, scaled by 2 |dx| |dy|.
+    next_x, next_y = ady, adx
     while (x, y) != (b.x, b.y):
-        if t_max_x < t_max_y:
+        first = next_x - next_y  # < 0: x boundary first, 0: a corner
+        if first <= 0:
             x += step_x
-            t_max_x += t_dx
-        elif t_max_y < t_max_x:
+            next_x += 2 * ady
+        if first >= 0:
             y += step_y
-            t_max_y += t_dy
-        else:
-            x += step_x
-            y += step_y
-            t_max_x += t_dx
-            t_max_y += t_dy
+            next_y += 2 * adx
         cells.append(Cell(x, y))
     return cells
 
@@ -180,11 +162,10 @@ def sample_rssi_many(classes: np.ndarray, noise_sd: float, rng: np.random.Genera
 class FootprintCache:
     """Lazily cached per-cell coverage footprints over usable cells.
 
-    footprint(c) maps every usable cell reachable from c (class >= 1) to its
-    strength class, including c itself at class 5. Footprints are symmetric,
-    so the same table answers both "whom do I cover" and "whom do I hear".
-    row(c) is the same footprint as one int8 class per usable cell (0 out of
-    reach), positioned by index; coverage tallies and beacon hearing read rows.
+    footprint(c) is one read-only int8 row: the strength class at which c
+    reaches every usable cell (0 out of reach, 5 at c itself), positioned by
+    index. Footprints are symmetric, so the same row answers both "whom do
+    I cover" and "whom do I hear".
 
     Footprints equal strength() over every usable target. They are computed
     with one gather over an offset stencil: distance classes and the cells a
@@ -195,63 +176,56 @@ class FootprintCache:
     def __init__(self, grid: CityGrid, cfg: PropagationConfig):
         self.grid = grid
         self.cfg = cfg
-        self._cache: dict[Cell, dict[Cell, int]] = {}
         self._rows: dict[Cell, np.ndarray] = {}
         self.index = {c: i for i, c in enumerate(grid.usable_cells)}
         self._radius_cells = int(math.ceil(cfg.max_range_m / grid.cell_size_m))
         self._stencil: _Stencil | None = None
 
-    def footprint(self, cell: Cell) -> dict[Cell, int]:
-        fp = self._cache.get(cell)
-        if fp is None:
-            fp = self._compute(cell)
-            self._cache[cell] = fp
-        return fp
-
-    def row(self, cell: Cell) -> np.ndarray:
+    def footprint(self, cell: Cell) -> np.ndarray:
         row = self._rows.get(cell)
         if row is None:
-            fp = self.footprint(cell)
-            row = self._rows[cell] = np.zeros(len(self.index), dtype=np.int8)
-            row[[self.index[c] for c in fp]] = list(fp.values())
-            row.flags.writeable = False
+            row = self._rows[cell] = self._compute(cell)
         return row
 
-    def _compute(self, cell: Cell) -> dict[Cell, int]:
+    def _compute(self, cell: Cell) -> np.ndarray:
         if not self.grid.contains(cell):
             raise OutOfBoundsError(f"tx cell {tuple(cell)} outside grid")
         st = self._stencil
         if st is None:
             st = self._stencil = _Stencil(self.grid, self.cfg, self._radius_cells)
         origin = self.grid.origin
-        # Flat position of the source in the padded masks; targets and crossed
+        # Flat position of the source in the padded tables; targets and crossed
         # cells are the stencil's flat offsets from it.
         at = (cell.x - origin.x + st.r) * st.stride + (cell.y - origin.y + st.r)
-        keep = st.usable[at + st.target]
+        pos = st.position[at + st.target]
+        keep = pos >= 0
         cls = st.cls[keep]
         if self.cfg.nlos_penalty:
             blocked = (st.obstruction[at + st.crossed[keep]] & st.crossed_valid[keep]).any(axis=1)
-            # strength() floors a blocked class at 0; below 1 it is dropped either way.
-            cls = cls - self.cfg.nlos_penalty * blocked
-        reach = cls >= 1
-        xs = (st.dx[keep][reach] + cell.x).tolist()
-        ys = (st.dy[keep][reach] + cell.y).tolist()
-        return {Cell(x, y): s for x, y, s in zip(xs, ys, cls[reach].tolist())}
+            # strength() floors a blocked class at 0.
+            cls = np.maximum(cls - self.cfg.nlos_penalty * blocked, 0)
+        row = np.zeros(len(self.index), dtype=np.int8)
+        row[pos[keep]] = cls
+        row.flags.writeable = False
+        return row
 
 
 class _Stencil:
     """Per-offset distance classes and crossed cells for one footprint radius.
 
     Offsets (dx, dy) within the radius whose distance class is at least 1,
-    in x-major order. usable and obstruction are the grid masks padded by r
-    cells of False on every side and flattened, so every target and crossed
+    in x-major order. position holds each usable cell's row position (-1
+    elsewhere) and obstruction the obstruction mask, both padded by r cells
+    of -1 and False on every side and flattened, so every target and crossed
     cell of an in-grid source is a flat index offset from the source.
     """
 
     def __init__(self, grid: CityGrid, cfg: PropagationConfig, r: int):
         self.r = r
         self.stride = grid.height + 2 * r
-        self.usable = np.pad(grid.usable, r).ravel()
+        position = np.full(grid.usable.shape, -1, dtype=np.int64)
+        position[grid.usable] = np.arange(grid.usable_count)
+        self.position = np.pad(position, r, constant_values=-1).ravel()
         self.obstruction = np.pad(grid.obstruction, r).ravel()
         offsets: list[tuple[int, int, int]] = []
         paths: list[list[Cell]] = []
@@ -264,8 +238,8 @@ class _Stencil:
                     continue
                 offsets.append((dx, dy, cls))
                 paths.append(cells_on_segment(Cell(0, 0), Cell(dx, dy))[1:-1])
-        self.dx, self.dy, self.cls = np.array(offsets, dtype=np.int64).T
-        self.target = self.dx * self.stride + self.dy
+        dx, dy, self.cls = np.array(offsets, dtype=np.int64).T
+        self.target = dx * self.stride + dy
         width = max(len(p) for p in paths)
         self.crossed = np.zeros((len(paths), width), dtype=np.int64)
         self.crossed_valid = np.zeros((len(paths), width), dtype=bool)
@@ -289,7 +263,9 @@ def synthesize_beacon_log(
     readings. Returns (rows, truth) where rows are (time_s, tx_id, cell, rssi)
     and truth maps each cell to its propagation class.
     """
-    truth = dict(FootprintCache(grid, cfg).footprint(observer))
+    row = FootprintCache(grid, cfg).footprint(observer)
+    cells = grid.usable_cells
+    truth = {cells[i]: int(row[i]) for i in np.flatnonzero(row).tolist()}
     rows: list[tuple[float, int, Cell, int]] = []
     t = 0.0
     tx_id = 1

@@ -231,7 +231,7 @@ class Simulation:
         at = [self._footprints.index[c] for c in mover_cells]
         learners = list(self._learning.values())
         # classes[i, j]: class at which learner i hears mover j (0: out of reach).
-        classes = np.array([self._footprints.row(v.cell) for v, _ in learners]).take(at, axis=1)
+        classes = np.array([self._footprints.footprint(v.cell) for v, _ in learners]).take(at, axis=1)
         # Row-major: learner by learner, movers in order, one draw for the tick.
         li, mi = np.nonzero(classes)
         if not li.size:
@@ -278,7 +278,8 @@ class Simulation:
     # decision support
 
     def _deliver(self, msg: Message, sender_cell: Cell, recipient_cell: Cell) -> Message | None:
-        if self._footprints.footprint(sender_cell).get(recipient_cell, 0) < 1:
+        fps = self._footprints
+        if fps.footprint(sender_cell)[fps.index[recipient_cell]] < 1:
             return None
         self.message_counts[msg.kind] += 1
         return msg
@@ -290,7 +291,7 @@ class Simulation:
 
         def reached_from(cell: Cell) -> list[Vehicle]:
             """Active units in reach of cell, in activation order."""
-            return [active[i] for i in np.flatnonzero(fps.row(cell).take(at)).tolist()]
+            return [active[i] for i in np.flatnonzero(fps.footprint(cell).take(at)).tolist()]
 
         one_hop = sorted(v.vid for v in reached_from(maker.cell))
         neighbors = []
@@ -351,13 +352,13 @@ class Simulation:
 
     def _activate(self, vid: int, t: float) -> None:
         self._active[vid] = t
-        self._counts += reach_levels(self._footprints.row(self._vehicles[vid].cell))
+        self._counts += reach_levels(self._footprints.footprint(self._vehicles[vid].cell))
         self._counts_changed = True
         self.assignments += 1
 
     def _revoke(self, vid: int, t: float, cause: str) -> None:
         self.lifetimes.append(RsuLifetimeRecord(vid, self._active.pop(vid), t, cause))
-        self._counts -= reach_levels(self._footprints.row(self._vehicles[vid].cell))
+        self._counts -= reach_levels(self._footprints.footprint(self._vehicles[vid].cell))
         self._counts_changed = True
 
     # metrics
@@ -385,7 +386,7 @@ class Simulation:
         one _phase_metrics recorded, which may be a reused earlier sample.
         """
         cells = [self._vehicles[vid].cell for vid in self._active]
-        rows = np.array([self._footprints.row(cell) for cell in cells], dtype=np.int8)
+        rows = np.array([self._footprints.footprint(cell) for cell in cells], dtype=np.int8)
         rows = rows.reshape(len(self._active), self.grid.usable_count)
         recount = reach_levels(rows).sum(axis=0, dtype=np.int32)
         if not np.array_equal(recount, self._counts):
@@ -505,7 +506,7 @@ def random_assignment_bounds(
     car_at = np.array([slot.setdefault(cell, len(slot)) for cell in fill_cells], dtype=np.intp)
     distinct = list(slot)
 
-    rows = np.array([cache.row(cell) for cell in distinct])
+    rows = np.array([cache.footprint(cell) for cell in distinct])
     levels = reach_levels(rows).reshape(len(distinct), 5 * grid.usable_count).astype(np.float32)
 
     samples: list[tuple[float, float]] = []

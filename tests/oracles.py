@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the dumb, direct way (powersets,
-point sampling, explicit case analysis) and kept free of imports from the
+exact fractions, explicit case analysis) and kept free of imports from the
 package's internals beyond plain data types, so a bug in the package is
 unlikely to be mirrored by an identical bug here.
 """
@@ -9,6 +9,7 @@ unlikely to be mirrored by an identical bug here.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import chain, combinations
 
 
@@ -149,42 +150,32 @@ def oracle_band_class(distance_m, edges):
     return 0
 
 
-def oracle_segment_cells(a, b, samples=8001):
-    """Cells touched by the center-to-center segment, by dense sampling.
+def oracle_segment_cells(a, b):
+    """Cells whose open square the center-to-center segment passes through.
 
-    Only trustworthy when no sample point sits near a cell boundary; use
-    segment_is_unambiguous to filter such cases in randomized tests.
+    Cell (i, j) is the open square (i - 1/2, i + 1/2) x (j - 1/2, j + 1/2).
+    In exact rational arithmetic, the segment is cut at every parameter t
+    where it meets a cell boundary, and each open piece between two cuts is
+    named by the cell of its midpoint. Touching a corner is a single point,
+    so it adds no cell.
     """
+    dx, dy = b.x - a.x, b.y - a.y
+    cuts = {Fraction(0), Fraction(1)}
+    for start, d in ((a.x, dx), (a.y, dy)):
+        for k in range(min(start, start + d), max(start, start + d)):
+            cuts.add(Fraction(2 * (k - start) + 1, 2 * d))  # meets k + 1/2
+    cuts = sorted(cuts)
     cells = set()
-    for i in range(samples + 1):
-        f = i / samples
-        x = a.x + (b.x - a.x) * f
-        y = a.y + (b.y - a.y) * f
-        cells.add((round(x), round(y)))
+    for t0, t1 in zip(cuts, cuts[1:]):
+        m = (t0 + t1) / 2
+        cells.add((math.floor(a.x + dx * m + Fraction(1, 2)), math.floor(a.y + dy * m + Fraction(1, 2))))
     return cells
 
 
-def segment_is_unambiguous(a, b, eps=5e-3):
-    """True when every boundary crossing stays clear of cell corners.
-
-    A crossing that lands within eps (in cell units) of a corner makes the
-    dense-sampling oracle unreliable: the touched-cell set depends on
-    floating-point rounding, and corner slivers can slip between samples.
-    """
-    dx, dy = b.x - a.x, b.y - a.y
-    for d_main, d_other, a_main, a_other in ((dx, dy, a.x, a.y), (dy, dx, a.y, a.x)):
-        if d_main == 0:
-            continue
-        lo, hi = sorted((a_main, a_main + d_main))
-        k = math.floor(lo + 0.5)
-        while k + 0.5 < hi:
-            if k + 0.5 > lo:
-                t = (k + 0.5 - a_main) / d_main
-                v = a_other + d_other * t
-                if abs((v - math.floor(v)) - 0.5) < eps:
-                    return False
-            k += 1
-    return True
+def footprint_dict(cache, cell):
+    """A footprint row as {usable cell: class} over the cells it reaches."""
+    cells = cache.grid.usable_cells
+    return {cells[i]: int(s) for i, s in enumerate(cache.footprint(cell)) if s}
 
 
 def oracle_rssi_class(rssi):

@@ -182,6 +182,13 @@ class TestSweep:
         assert "--seeds" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_repeated_value_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep", *TOY, "--out", str(out), "--field", "w_sat", "--values", "0.1,0.10"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --values repeats w_sat=0.1 (as '0.1' and '0.10')\n"
+        assert not out.exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         argv = ["sweep", *TOY, "--field", "w_cov", "--values", "0.1,0.5", "--seeds", "1"]
@@ -316,6 +323,8 @@ class TestInferMap:
         ["sweep", *TOY, "--set", "city_file=no-such-city.csv", "--field", "w_sat", "--values", "0.2"],
         ["sweep", *TOY, "--field", "w_sat", "--values", "0.2", "--jobs", "0"],
         ["sweep", *TOY, "--field", "w_sat", "--values", "0.2", "--jobs", "-1"],
+        ["sweep", *TOY, "--field", "w_sat", "--values", "0.1,0.1"],
+        ["sweep", *TOY, "--field", "w_sat", "--values", "0.1,0.3,0.10"],
     ],
     ids=[
         "negative-samples",
@@ -344,6 +353,8 @@ class TestInferMap:
         "missing-city-file",
         "jobs-0",
         "jobs-negative",
+        "sweep-repeated-value",
+        "sweep-repeated-parsed-value",
     ],
 )
 def test_rejected_invocation_creates_no_output_dir(tmp_path, argv):

@@ -335,4 +335,4 @@ class TestLearningFidelity:
     def test_truth_is_footprint(self, one_block, prop, rng):
         observer = one_block.usable_cells[3]
         _, truth = synthesize_beacon_log(one_block, prop, observer, rng)
-        assert truth == FootprintCache(one_block, prop).footprint(observer)
+        assert truth == oracles.footprint_dict(FootprintCache(one_block, prop), observer)

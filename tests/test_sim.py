@@ -45,7 +45,7 @@ from parkrsu.sim import (
 )
 from parkrsu.traffic import TrafficProcess
 
-from oracles import mean_sd
+from oracles import footprint_dict, mean_sd
 
 ALL_CAUSES = {CAUSE_DECISION, CAUSE_FORCED, CAUSE_DEPARTURE}
 
@@ -542,7 +542,7 @@ def merged_means(cells, cache) -> tuple[float, float]:
     best: dict = {}
     count: dict = {}
     for cell in cells:
-        for covered, s in cache.footprint(cell).items():
+        for covered, s in footprint_dict(cache, cell).items():
             best[covered] = max(best.get(covered, 0), s)
             count[covered] = count.get(covered, 0) + 1
     n = len(best)
