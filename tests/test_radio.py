@@ -48,6 +48,11 @@ class TestPropagationConfig:
             dict(base_range_m=0.0),
             dict(range_multiplier=-1.0),
             dict(nlos_penalty=-2),
+            dict(base_range_m=-10.0),
+            dict(base_range_m=math.inf),
+            dict(range_multiplier=0.0),
+            dict(range_multiplier=math.inf),
+            dict(range_multiplier=math.nan),
             dict(base_range_m=math.nan),
         ],
     )
