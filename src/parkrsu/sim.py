@@ -51,23 +51,6 @@ COMMANDS_HEADER = "time_s,maker_id,verb,target_id"
 BOUNDS_HEADER = "mean_signal,mean_saturation"
 
 
-@dataclass(frozen=True)
-class Message:
-    """Unit of in-network communication; delivery requires radio contact.
-
-    Dense beacon traffic (cam) is tallied rather than materialized. Map
-    traffic flows through _deliver, so no entity reads another's state
-    except out of a delivered payload. _apply_commands counts role commands
-    without a delivery; what limits their reach is its rule that a decision
-    assigns only its maker and revokes only the maker's one-hop neighbors.
-    """
-
-    kind: str
-    sender: int
-    recipient: int | None
-    payload: object = None
-
-
 @dataclass
 class MetricsSample:
     t: float
@@ -217,9 +200,8 @@ class Simulation:
         for vid in done:
             v, builder = self._learning.pop(vid)
             learned = builder.finalize_coverage(self.config.maps.min_samples)
-            cells = dict(learned.cells)
-            cells[v.cell] = 5
-            self._learned[vid] = CoverageMap(vid, cells)
+            learned.cells[v.cell] = 5
+            self._learned[vid] = learned
             self._pending.append(vid)
 
     def _phase_beacons(self, t: float) -> None:
@@ -277,64 +259,38 @@ class Simulation:
 
     # decision support
 
-    def _deliver(self, msg: Message, sender_cell: Cell, recipient_cell: Cell) -> Message | None:
-        fps = self._footprints
-        if fps.footprint(sender_cell)[fps.index[recipient_cell]] < 1:
-            return None
-        self.message_counts[msg.kind] += 1
-        return msg
-
     def _gather_pool(self, maker: Vehicle, t: float) -> CandidatePool:
+        """Active units in reach of the maker (one hop) and of those (second
+        hop). The maker is never active when it decides, so neither holds it."""
         fps = self._footprints
-        active = [self._vehicles[vid] for vid in self._active]
-        at = [fps.index[v.cell] for v in active]
+        ids = list(self._active)
+        at = [fps.index[self._vehicles[vid].cell] for vid in ids]
 
-        def reached_from(cell: Cell) -> list[Vehicle]:
-            """Active units in reach of cell, in activation order."""
-            return [active[i] for i in np.flatnonzero(fps.footprint(cell).take(at)).tolist()]
+        def reached_from(cell: Cell) -> set[int]:
+            return {ids[i] for i in np.flatnonzero(fps.footprint(cell).take(at)).tolist()}
 
-        one_hop = sorted(v.vid for v in reached_from(maker.cell))
-        neighbors = []
-        second: dict[int, CoverageMap] = {}
-        excluded = set(one_hop)
-        excluded.add(maker.vid)
+        one_hop = sorted(reached_from(maker.cell))
+        second: set[int] = set()
         for nid in one_hop:
-            nveh = self._vehicles[nid]
-            request = self._deliver(
-                Message(KIND_MAP_REQUEST, maker.vid, nid), maker.cell, nveh.cell
-            )
-            if request is None:
-                continue
-            forwarded = [(m.vid, self._learned[m.vid]) for m in reached_from(nveh.cell) if m.vid != nid]
-            battery = battery_indicator(t - self._active[nid], self.policy)
-            response = self._deliver(
-                Message(
-                    KIND_MAP_RESPONSE,
-                    nid,
-                    maker.vid,
-                    (self._learned[nid], battery, forwarded),
-                ),
-                nveh.cell,
-                maker.cell,
-            )
-            if response is None:
-                continue
-            own_map, battery, forwarded = response.payload
-            neighbors.append(ActiveRsu(nid, own_map, battery))
-            for mid, mmap in forwarded:
-                if mid not in excluded:
-                    second.setdefault(mid, mmap)
-        second_maps = tuple(second[mid] for mid in sorted(second))
+            second |= reached_from(self._vehicles[nid].cell)
+        second.difference_update(one_hop)
+        self.message_counts[KIND_MAP_REQUEST] += len(one_hop)
+        self.message_counts[KIND_MAP_RESPONSE] += len(one_hop)
         return CandidatePool(
             maker_id=maker.vid,
             maker_map=self._learned[maker.vid],
-            neighbors=tuple(neighbors),
-            second_hop=second_maps,
+            neighbors=tuple(
+                ActiveRsu(nid, self._learned[nid], battery_indicator(t - self._active[nid], self.policy))
+                for nid in one_hop
+            ),
+            second_hop=tuple(self._learned[mid] for mid in sorted(second)),
         )
 
     def _apply_commands(
         self, t: float, maker_id: int, commands: Sequence[RoleCommand], one_hop: set[int]
     ) -> None:
+        """A decision assigns only its maker and revokes only the maker's
+        one-hop neighbors; a command beyond that reach raises RuntimeError."""
         for cmd in commands:
             if cmd.verb == "assign":
                 if cmd.target_id != maker_id:
@@ -482,8 +438,11 @@ def random_assignment_bounds(
     sample activates a uniformly random number of them at random membership
     and measures the resulting network. Empty draws carry no defined means;
     they are skipped and counted. An invalid config raises
-    ConfigurationError naming the field, as RunConfig.validate does.
+    ConfigurationError naming the field, as RunConfig.validate does; a
+    negative num_samples raises ValueError.
     """
+    if num_samples < 0:
+        raise ValueError(f"num_samples must be non-negative, got {num_samples}")
     grid, prop, _, _, model = config.validate()
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([config.sim.seed, 2]))

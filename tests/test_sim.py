@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 import parkrsu.config
+import parkrsu.sim
 from parkrsu.config import RunConfig, build_grid, build_propagation
+from parkrsu.decision import battery_indicator
 from parkrsu.errors import ConfigurationError
 from parkrsu.grid import save_city
-from parkrsu.radio import FootprintCache
+from parkrsu.radio import FootprintCache, strength
 from parkrsu.sim import (
     BOUNDS_HEADER,
     CAUSE_DECISION,
@@ -29,7 +32,6 @@ from parkrsu.sim import (
     LIFETIMES_HEADER,
     METRICS_HEADER,
     CommandRecord,
-    Message,
     MetricsSample,
     RsuLifetimeRecord,
     Simulation,
@@ -395,50 +397,53 @@ class TestMessageAccounting:
         assert counts[KIND_MAP_REQUEST] == counts[KIND_MAP_RESPONSE]
 
 
-class _Poison:
-    """Payload stand-in that explodes on any attribute access."""
+class _PoolRecordingSim(Simulation):
+    """Records each gathered pool next to the one rebuilt from the scalar
+    strength() over the active units' cells at that moment."""
 
-    def __getattr__(self, name):  # pragma: no cover - only if a bug reads it
-        raise AssertionError(f"undelivered payload was read (attribute {name!r})")
+    def __init__(self, config):
+        super().__init__(config)
+        self.pools = []
+        self._hears = functools.cache(lambda tx, rx: strength(tx, rx, self.grid, self.prop) >= 1)
+
+    def _gather_pool(self, maker, t):
+        pool = super()._gather_pool(maker, t)
+        cells = {vid: self._vehicles[vid].cell for vid in self._active}
+        one_hop = sorted(vid for vid, cell in cells.items() if self._hears(maker.cell, cell))
+        second = {m for n in one_hop for m, cell in cells.items() if self._hears(cells[n], cell)}
+        assigned_at = {c.target_id: c.time_s for c in self.commands if c.verb == "assign"}
+        expected = (
+            self._learned[maker.vid],
+            [(n, self._learned[n], battery_indicator(t - assigned_at[n], self.policy)) for n in one_hop],
+            [self._learned[m] for m in sorted(second - set(one_hop))],
+        )
+        got = (pool.maker_map, [tuple(n) for n in pool.neighbors], list(pool.second_hop))
+        self.pools.append((got, expected))
+        return pool
 
 
-class _PoisoningSim(Simulation):
-    def _deliver(self, msg: Message, sender_cell, recipient_cell):
-        delivered = super()._deliver(msg, sender_cell, recipient_cell)
-        if delivered is None:
-            object.__setattr__(msg, "payload", _Poison())
-        return delivered
-
-
-class _MapBlackoutSim(Simulation):
-    def _deliver(self, msg: Message, sender_cell, recipient_cell):
-        if msg.kind in {KIND_MAP_REQUEST, KIND_MAP_RESPONSE}:
-            return None
-        return super()._deliver(msg, sender_cell, recipient_cell)
-
-
-class TestMessageLocality:
-    def test_corrupting_undelivered_payloads_changes_nothing(self):
-        cfg = make_config(duration_s=600.0, seed=2)
-        baseline = Simulation(cfg).run()
-        poisoned = _PoisoningSim(cfg).run()
-        assert poisoned.metrics == baseline.metrics
-        assert poisoned.commands == baseline.commands
-        assert poisoned.lifetimes == baseline.lifetimes
-        assert poisoned.message_counts == baseline.message_counts
-
-    def test_cutting_map_exchange_blinds_decisions(self):
-        cfg = make_config(duration_s=900.0, seed=2)
-        result = _MapBlackoutSim(cfg).run()
-        assert result.message_counts[KIND_MAP_REQUEST] == 0
-        assert result.message_counts[KIND_MAP_RESPONSE] == 0
-        assert result.decisions > 0
-        # With no neighbor maps every maker sees only itself: activating is
-        # always strictly better than staying dark, and nobody can be revoked.
-        assigns = [c for c in result.commands if c.verb == "assign"]
-        assert len(assigns) == result.decisions
-        assert not any(c.verb == "revoke" for c in result.commands)
-        assert not any(r.cause == CAUSE_DECISION for r in result.lifetimes)
+class TestPoolGathering:
+    def test_pools_are_the_two_hop_neighbourhood(self):
+        # A short standard duty time puts battery indicators strictly between
+        # 0 and 1; the duty cap is the run length, so no unit is forced off.
+        cfg = make_config(
+            duration_s=600.0,
+            seed=2,
+            range_multiplier=2.0,
+            arrival_rate_vps=0.9,
+            standard_time_s=120.0,
+            max_time_s=600.0,
+        )
+        sim = _PoolRecordingSim(cfg)
+        result = sim.run()
+        assert len(sim.pools) == result.decisions > 400
+        assert sum(1 for (_, _, second), _ in sim.pools if second) > 400
+        batteries = [b for (_, neighbors, _), _ in sim.pools for _, _, b in neighbors]
+        assert sum(1 for b in batteries if 0 < b < 1) > 300
+        for got, expected in sim.pools:
+            assert got == expected
+        neighbours = sum(len(neighbors) for (_, neighbors, _), _ in sim.pools)
+        assert result.message_counts[KIND_MAP_REQUEST] == neighbours
 
 
 class TestLedgerTripwire:
@@ -593,6 +598,14 @@ class TestRandomAssignmentBounds:
         setattr(cfg.sim, field_name, value)
         with pytest.raises(ConfigurationError, match=rf"^sim\.{field_name} "):
             random_assignment_bounds(cfg, 10)
+
+    def test_negative_sample_count_rejected_before_warm_up(self, monkeypatch):
+        def no_warm_up(*args):
+            raise AssertionError("warm-up ran before num_samples was checked")
+
+        monkeypatch.setattr(parkrsu.sim, "_warmed_up_parked_cells", no_warm_up)
+        with pytest.raises(ValueError, match="num_samples"):
+            random_assignment_bounds(toy_config(), -5)
 
     def test_fill_count_caps_population(self):
         cfg = make_config(bounds_fill_count=50, discard_s=600.0)
