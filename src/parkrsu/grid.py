@@ -101,14 +101,6 @@ class CityGrid:
         s = self.cell_size_m
         return ((cell.x - self.origin.x + 0.5) * s, (cell.y - self.origin.y + 0.5) * s)
 
-    def neighbors4(self, cell: Cell) -> list[Cell]:
-        out = []
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            n = Cell(cell.x + dx, cell.y + dy)
-            if self.contains(n):
-                out.append(n)
-        return out
-
 
 def cell_of(position: tuple[float, float], grid: CityGrid) -> Cell:
     """Quantize a grid-local position in meters to its cell.

@@ -178,7 +178,8 @@ class FootprintCache:
         self.cfg = cfg
         self._rows: dict[Cell, np.ndarray] = {}
         self.index = {c: i for i, c in enumerate(grid.usable_cells)}
-        self._radius_cells = int(math.ceil(cfg.max_range_m / grid.cell_size_m))
+        # Offsets past the grid's longer side reach no in-grid target.
+        self._radius_cells = min(int(math.ceil(cfg.max_range_m / grid.cell_size_m)), max(grid.width, grid.height) - 1)
         self._stencil: _Stencil | None = None
 
     def footprint(self, cell: Cell) -> np.ndarray:

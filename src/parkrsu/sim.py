@@ -121,9 +121,7 @@ class Simulation:
         seed = config.sim.seed
         self._rng_traffic = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self._rng_beacons = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        self.traffic = TrafficProcess(
-            self.model, self.grid, self._rng_traffic, speed_mps=config.traffic.speed_mps
-        )
+        self.traffic = TrafficProcess(self.model, self.grid, self._rng_traffic, speed_mps=config.traffic.speed_mps)
         self._footprints = FootprintCache(self.grid, self.prop)
         # _counts[i, k - 1]: active units reaching usable cell i at class >= k (see reach_levels).
         self._counts = np.zeros((self.grid.usable_count, 5), dtype=np.int32)

@@ -61,7 +61,6 @@ class Vehicle:
     vid: int
     x_m: float
     y_m: float
-    speed_mps: float
     cell: Cell
     target: Cell | None = None
     came_from: Cell | None = None
@@ -184,46 +183,6 @@ def apportion_daily_counts(daily_total: int, weights: Sequence[float]) -> list[i
     return counts
 
 
-def _pick_next_cell(grid: CityGrid, current: Cell, came_from: Cell | None, rng: np.random.Generator) -> Cell:
-    options = [c for c in grid.neighbors4(current) if grid.is_usable(c) and c != came_from]
-    if not options:
-        if came_from is not None and grid.is_usable(came_from):
-            return came_from
-        return current
-    if len(options) == 1:
-        return options[0]
-    return options[int(rng.integers(len(options)))]
-
-
-def step_vehicle(v: Vehicle, grid: CityGrid, rng: np.random.Generator) -> None:
-    """Advance a moving vehicle one second along cell-center road segments.
-
-    At each cell hand-off the next cell is drawn uniformly from the usable
-    neighbors, never the one just left unless the road dead-ends.
-    """
-    if v.parked_at is not None:
-        return
-    budget = v.speed_mps
-    if v.target is None or v.target == v.cell:
-        v.target = _pick_next_cell(grid, v.cell, v.came_from, rng)
-        if v.target == v.cell:
-            return
-    while budget > 0:
-        tx, ty = grid.center_of(v.target)
-        dist = math.hypot(tx - v.x_m, ty - v.y_m)
-        if dist > budget:
-            v.x_m += (tx - v.x_m) / dist * budget
-            v.y_m += (ty - v.y_m) / dist * budget
-            break
-        v.x_m, v.y_m = tx, ty
-        budget -= dist
-        v.came_from = v.cell
-        v.cell = v.target
-        v.target = _pick_next_cell(grid, v.cell, v.came_from, rng)
-        if v.target == v.cell:
-            break
-
-
 def draw_duration(model: ParkingModel, t: float, rng: np.random.Generator) -> float:
     if model.mode == UNIFORM:
         return float(rng.exponential(model.mean_duration_s))
@@ -232,31 +191,20 @@ def draw_duration(model: ParkingModel, t: float, rng: np.random.Generator) -> fl
     return float(rng.lognormal(math.log(median), sigma))
 
 
-def maybe_park(v: Vehicle, model: ParkingModel, t: float, rng: np.random.Generator) -> bool:
-    """Bernoulli parking trial for one moving vehicle over one tick (one second)."""
-    if v.parked_at is not None:
-        return False
-    p = min(1.0, model.park_hazard_per_s)
-    if p <= 0 or rng.random() >= p:
-        return False
-    v.parked_at = t
-    v.planned_duration_s = draw_duration(model, t, rng)
-    return True
-
-
 def should_depart(v: Vehicle, t: float) -> bool:
     return v.parked_at is not None and t >= v.parked_at + v.planned_duration_s
 
 
 class TrafficProcess:
-    """Single-writer owner of arrivals, ids, and the mobility random stream."""
+    """Single-writer owner of arrivals, ids, the mobility random stream and the traffic rules.
+
+    The road graph is fixed per grid, so construction tables each usable
+    cell's usable 4-neighbors (+x, -x, +y, -y) and center; stepping and
+    parking make no grid query.
+    """
 
     def __init__(
-        self,
-        model: ParkingModel,
-        grid: CityGrid,
-        rng: np.random.Generator,
-        speed_mps: float = DEFAULT_SPEED_MPS,
+        self, model: ParkingModel, grid: CityGrid, rng: np.random.Generator, speed_mps: float = DEFAULT_SPEED_MPS
     ):
         self.model = model
         self.grid = grid
@@ -266,6 +214,16 @@ class TrafficProcess:
         self._border = grid.border_cells
         if not self._border:
             raise ConfigurationError("grid has no usable border cells to spawn on")
+        (ox, oy), s = grid.origin, grid.cell_size_m
+        road = {c: c for c in grid.usable_cells}
+        get = road.get
+        self._roads: dict[Cell, tuple[Cell, ...]] = {}
+        self._center: dict[Cell, tuple[float, float]] = {}
+        for c in road:
+            x, y = c
+            self._roads[c] = tuple(filter(None, (get((x + 1, y)), get((x - 1, y)), get((x, y + 1)), get((x, y - 1)))))
+            self._center[c] = ((x - ox + 0.5) * s, (y - oy + 0.5) * s)
+        self._park_p = min(1.0, model.park_hazard_per_s)
         self._day_times: np.ndarray | None = None
         self._day_ptr = 0
         if model.mode == DAY_PROFILE:
@@ -287,20 +245,59 @@ class TrafficProcess:
             self._day_ptr += 1
         return n
 
+    def _next_cell(self, cell: Cell, came_from: Cell | None) -> Cell:
+        """A uniform draw over the road neighbors but came_from; else back to came_from, or stay."""
+        options = [c for c in self._roads[cell] if c != came_from]
+        if not options:
+            return cell if came_from is None else came_from
+        if len(options) == 1:
+            return options[0]
+        return options[int(self.rng.integers(len(options)))]
+
     def spawn(self, t: float) -> list[Vehicle]:
         """New vehicles for the one-second tick at t, placed on random usable border cells."""
         out = []
         for _ in range(self._spawn_count(t)):
             cell = self._border[int(self.rng.integers(len(self._border)))]
-            x, y = self.grid.center_of(cell)
-            v = Vehicle(vid=self._next_id, x_m=x, y_m=y, speed_mps=self.speed_mps, cell=cell)
+            x, y = self._center[cell]
+            v = Vehicle(vid=self._next_id, x_m=x, y_m=y, cell=cell)
             self._next_id += 1
-            v.target = _pick_next_cell(self.grid, cell, None, self.rng)
+            v.target = self._next_cell(cell, None)
             out.append(v)
         return out
 
     def step(self, v: Vehicle) -> None:
-        step_vehicle(v, self.grid, self.rng)
+        """Advance a moving vehicle one second along cell-center road segments.
+
+        At each cell hand-off the next cell is drawn uniformly from the road
+        neighbors, never the one just left unless the road dead-ends.
+        """
+        if v.parked_at is not None:
+            return
+        if v.target is None or v.target == v.cell:
+            v.target = self._next_cell(v.cell, v.came_from)
+            if v.target == v.cell:
+                return
+        budget = self.speed_mps
+        while budget > 0:
+            tx, ty = self._center[v.target]
+            dist = math.hypot(tx - v.x_m, ty - v.y_m)
+            if dist > budget:
+                v.x_m += (tx - v.x_m) / dist * budget
+                v.y_m += (ty - v.y_m) / dist * budget
+                break
+            v.x_m, v.y_m = tx, ty
+            budget -= dist
+            v.came_from = v.cell
+            v.cell = v.target
+            v.target = self._next_cell(v.cell, v.came_from)
+            if v.target == v.cell:
+                break
 
     def maybe_park(self, v: Vehicle, t: float) -> bool:
-        return maybe_park(v, self.model, t, self.rng)
+        """Bernoulli parking trial for one moving vehicle over one tick (one second)."""
+        if v.parked_at is not None or self._park_p <= 0 or self.rng.random() >= self._park_p:
+            return False
+        v.parked_at = t
+        v.planned_duration_s = draw_duration(self.model, t, self.rng)
+        return True

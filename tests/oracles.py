@@ -223,6 +223,52 @@ def manhattan_usable_count(blocks_x, blocks_y, road_w=1, block=3):
     return width * height - blocks_x * blocks_y * block * block
 
 
+# mobility, walked with a grid query at every hand-off
+
+
+def walker_next_cell(grid, current, came_from, rng):
+    """A uniform draw over the usable 4-neighbors (+x, -x, +y, -y) other
+    than came_from; at a dead end, back to came_from if it is usable, else stay.
+    """
+    options = []
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        n = type(current)(current.x + dx, current.y + dy)
+        if grid.is_usable(n) and n != came_from:
+            options.append(n)
+    if not options:
+        if came_from is not None and grid.is_usable(came_from):
+            return came_from
+        return current
+    if len(options) == 1:
+        return options[0]
+    return options[int(rng.integers(len(options)))]
+
+
+def walker_step(v, grid, speed_mps, rng):
+    """Advance a moving vehicle one second along cell-center road segments."""
+    if v.parked_at is not None:
+        return
+    budget = speed_mps
+    if v.target is None or v.target == v.cell:
+        v.target = walker_next_cell(grid, v.cell, v.came_from, rng)
+        if v.target == v.cell:
+            return
+    while budget > 0:
+        tx, ty = grid.center_of(v.target)
+        dist = math.hypot(tx - v.x_m, ty - v.y_m)
+        if dist > budget:
+            v.x_m += (tx - v.x_m) / dist * budget
+            v.y_m += (ty - v.y_m) / dist * budget
+            break
+        v.x_m, v.y_m = tx, ty
+        budget -= dist
+        v.came_from = v.cell
+        v.cell = v.target
+        v.target = walker_next_cell(grid, v.cell, v.came_from, rng)
+        if v.target == v.cell:
+            break
+
+
 # traffic analytics
 
 

@@ -101,11 +101,6 @@ class TestCityGridQueries:
         with pytest.raises(OutOfBoundsError):
             grid_10().center_of(Cell(9, 9))
 
-    def test_neighbors4_interior_and_corner(self):
-        g = grid_10()
-        assert set(g.neighbors4(Cell(2, 2))) == {Cell(3, 2), Cell(1, 2), Cell(2, 3), Cell(2, 1)}
-        assert set(g.neighbors4(Cell(0, 0))) == {Cell(1, 0), Cell(0, 1)}
-
 
 class TestCellOf:
     def test_half_open_quantization(self):

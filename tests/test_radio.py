@@ -399,7 +399,7 @@ class TestFootprintCache:
         origin=st.tuples(st.integers(-20, -1), st.integers(-20, -1)),
         kinds=st.lists(st.sampled_from(["ground", "road", "building"]), min_size=81, max_size=81),
         cell_size_m=st.floats(7.0, 45.0),
-        range_multiplier=st.floats(0.5, 3.0),
+        range_multiplier=st.one_of(st.floats(0.5, 3.0), st.floats(100.0, 1000.0)),
         edge_cells=st.one_of(st.none(), st.integers(1, 2)),
         reach_cells=st.floats(1.0, 5.0),
         nlos_penalty=st.integers(0, 3),
@@ -409,7 +409,7 @@ class TestFootprintCache:
     ):
         # A base range of 4k cells at multiplier 1 puts the straight offsets
         # k, 2k and 4k exactly on band edges; otherwise the edges are plain
-        # fractions of a random range.
+        # fractions of a random range, up to thousands of cells past the grid.
         kind = np.array(kinds[: width * height]).reshape(width, height)
         usable, obstruction = kind == "road", kind == "building"
         if not usable.any():

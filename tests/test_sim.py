@@ -16,7 +16,7 @@ import parkrsu.sim
 from parkrsu.config import RunConfig, build_grid, build_propagation
 from parkrsu.decision import battery_indicator
 from parkrsu.errors import ConfigurationError
-from parkrsu.grid import save_city
+from parkrsu.grid import Cell, CityGrid, build_manhattan_city, save_city
 from parkrsu.radio import FootprintCache, strength
 from parkrsu.sim import (
     BOUNDS_HEADER,
@@ -168,6 +168,27 @@ class TestDeterminism:
             "metrics.csv": "bf2a2bf054057ca9cac7b669e5c9a57751525bc98d6ca786e3bfb40d95f9f82c",
             "lifetimes.csv": "5507a94566a181428b89256061e0e70a690bafe5d83f018c209d622733dd3c56",
             "commands.csv": "5cbcd3c0c91e127a70a10511392c09dc541e10408936c6802c31a8b180024f82",
+        }
+
+    def test_day_profile_dead_end_city_outputs_pinned(self, tmp_path):
+        # The same pin for day-profile traffic on a city file with a negative
+        # origin, two cut streets, a one-cell spur and an isolated road cell:
+        # 95 cars park over three night hours, and movers turn back at the
+        # dead ends. The pins above run uniform traffic on the full lattice.
+        g = build_manhattan_city(3, 3, origin=Cell(-4, -7))
+        usable, obstruction = g.usable.copy(), g.obstruction.copy()
+        for ix, iy, road in ((4, 6, False), (6, 8, False), (2, 1, True), (10, 10, True)):
+            usable[ix, iy], obstruction[ix, iy] = road, not road
+        save_city(CityGrid(g.width, g.height, usable, obstruction, origin=g.origin), tmp_path / "city.txt")
+        cfg = make_config(
+            city_file=str(tmp_path / "city.txt"), mode="day_profile", duration_s=10800.0, discard_s=600.0, seed=7
+        )
+        result = Simulation(cfg).run()
+        assert result.parking_events == 95
+        assert output_digests(result, tmp_path) == {
+            "metrics.csv": "7393daa11496758db51ddb5732b6a9143258686ad08bb1758fa11c1f5252fa5f",
+            "lifetimes.csv": "a8e776dbcc1d28fdec9293705767b193f7091ce8e112af5ab010c9846c04bcf7",
+            "commands.csv": "2b3bd712ab94622121b9c16c4b763ecfda67fc75b461ab659db78ea695f6232c",
         }
 
     def test_different_seed_differs(self, short_result_pair):

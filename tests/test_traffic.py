@@ -21,18 +21,24 @@ from parkrsu.traffic import (
     day_profile_model,
     draw_duration,
     load_day_profile,
-    maybe_park,
     should_depart,
-    step_vehicle,
 )
 
 import oracles
 
+AROUND = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
-def make_vehicle(grid, cell=None, speed=DEFAULT_SPEED_MPS):
+
+def make_vehicle(grid, cell=None):
     cell = cell or grid.border_cells[0]
     x, y = grid.center_of(cell)
-    return Vehicle(vid=1, x_m=x, y_m=y, speed_mps=speed, cell=cell)
+    return Vehicle(vid=1, x_m=x, y_m=y, cell=cell)
+
+
+def walker(grid, rng, model=None, speed=DEFAULT_SPEED_MPS):
+    """A traffic process to step or park hand-made vehicles; in uniform mode
+    its constructor draws nothing from rng."""
+    return TrafficProcess(model or ParkingModel(), grid, rng, speed_mps=speed)
 
 
 class TestParkingModelValidation:
@@ -160,13 +166,14 @@ class TestMobility:
         usable = np.zeros((7, 1), dtype=bool)
         usable[:, 0] = True
         g = CityGrid(7, 1, usable, np.zeros((7, 1), dtype=bool), cell_size_m=30.9)
+        tp = walker(g, rng)
         v = make_vehicle(g, Cell(0, 0))
         x0, _ = g.center_of(Cell(0, 0))
-        step_vehicle(v, g, rng)
+        tp.step(v)
         assert v.x_m == pytest.approx(x0 + 8.0)
         assert v.cell == Cell(0, 0)
         for _ in range(3):
-            step_vehicle(v, g, rng)
+            tp.step(v)
         # The cell hand-off happens on reaching the next center: 32 m > 30.9.
         assert v.cell == Cell(1, 0)
         assert v.x_m == pytest.approx(x0 + 32.0)
@@ -174,42 +181,74 @@ class TestMobility:
     def test_stays_on_usable_cells(self, default_city, rng):
         from parkrsu.grid import cell_of
 
+        tp = walker(default_city, rng)
         v = make_vehicle(default_city)
         for _ in range(2000):
-            step_vehicle(v, default_city, rng)
+            tp.step(v)
             assert default_city.is_usable(v.cell)
             # Positions between centers always project onto the current leg.
             assert cell_of((v.x_m, v.y_m), default_city) in (v.cell, v.target)
 
     def test_never_reverses_mid_road(self, default_city, rng):
+        tp = walker(default_city, rng)
         v = make_vehicle(default_city, Cell(4, 0))
         prev_cells = [v.cell]
         for _ in range(500):
             before = v.cell
-            step_vehicle(v, default_city, rng)
+            tp.step(v)
             if v.cell != before:
                 prev_cells.append(v.cell)
         for a, b, c in zip(prev_cells, prev_cells[1:], prev_cells[2:]):
             # A direct return a -> b -> a only happens at a dead end, and the
             # default lattice has none.
-            assert a != c or len(set(default_city.neighbors4(b)) & set(default_city.usable_cells)) == 1
+            assert a != c or sum(default_city.is_usable(Cell(b.x + dx, b.y + dy)) for dx, dy in AROUND) == 1
 
     def test_dead_end_reverses(self, rng):
         usable = np.zeros((3, 1), dtype=bool)
         usable[:, 0] = True
         g = CityGrid(3, 1, usable, np.zeros((3, 1), dtype=bool), cell_size_m=10.0)
+        tp = walker(g, rng)
         v = make_vehicle(g, Cell(0, 0))
         seen = set()
         for _ in range(40):
-            step_vehicle(v, g, rng)
+            tp.step(v)
             seen.add(v.cell)
         assert seen == {Cell(0, 0), Cell(1, 0), Cell(2, 0)}  # bounced off both ends
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        width=st.integers(1, 7),
+        height=st.integers(1, 7),
+        origin=st.tuples(st.integers(-20, 5), st.integers(-20, 5)),
+        roads=st.lists(st.booleans(), min_size=49, max_size=49),
+        cell_size_m=st.floats(5.0, 45.0),
+        cells_per_tick=st.floats(0.05, 3.0),
+        start=st.integers(0, 48),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_matches_scalar_walker(self, width, height, origin, roads, cell_size_m, cells_per_tick, start, seed):
+        # Random road masks leave dead ends and isolated road cells, which the
+        # default lattice lacks; speeds fall on both sides of one cell per tick.
+        usable = np.array(roads[: width * height]).reshape(width, height)
+        usable[0, 0] = True  # a border road to spawn on
+        g = CityGrid(width, height, usable, np.zeros_like(usable), origin=Cell(*origin), cell_size_m=cell_size_m)
+        speed = cells_per_tick * cell_size_m
+        tp = walker(g, np.random.default_rng(seed), speed=speed)
+        ref_rng = np.random.default_rng(seed)
+        cell = g.usable_cells[start % len(g.usable_cells)]
+        v, ref = make_vehicle(g, cell), make_vehicle(g, cell)
+        for _ in range(60):
+            tp.step(v)
+            oracles.walker_step(ref, g, speed, ref_rng)
+            assert (v.cell, v.target, v.came_from) == (ref.cell, ref.target, ref.came_from)
+            assert (v.x_m.hex(), v.y_m.hex()) == (ref.x_m.hex(), ref.y_m.hex())
+        assert tp.rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_parked_vehicles_do_not_move(self, default_city, rng):
         v = make_vehicle(default_city)
         v.parked_at, v.planned_duration_s = 0.0, 600.0
         x, y = v.x_m, v.y_m
-        step_vehicle(v, default_city, rng)
+        walker(default_city, rng).step(v)
         assert (v.x_m, v.y_m) == (x, y)
 
 
@@ -218,42 +257,44 @@ class TestParkingProcess:
         m = ParkingModel(arrival_rate_vps=55.0, target_moving_vehicles=55.0)  # hazard 1.0
         v = make_vehicle(default_city)
         assert v.parked_at is None
-        assert maybe_park(v, m, t=17.0, rng=rng) is True
+        assert walker(default_city, rng, m).maybe_park(v, t=17.0) is True
         assert v.parked_at == 17.0
         assert v.planned_duration_s > 0
 
     def test_zero_hazard_never_parks(self, default_city, rng):
         m = ParkingModel(arrival_rate_vps=0.0)
         v = make_vehicle(default_city)
-        assert not any(maybe_park(v, m, t, rng) for t in range(1000))
+        tp = walker(default_city, rng, m)
+        assert not any(tp.maybe_park(v, t) for t in range(1000))
 
     def test_parked_vehicle_cannot_park_again(self, default_city, rng):
         m = ParkingModel(arrival_rate_vps=55.0, target_moving_vehicles=55.0)
+        tp = walker(default_city, rng, m)
         v = make_vehicle(default_city)
-        assert maybe_park(v, m, 0.0, rng) is True
+        assert tp.maybe_park(v, 0.0) is True
         parked = (v.parked_at, v.planned_duration_s)
-        assert maybe_park(v, m, 1.0, rng) is False
+        assert tp.maybe_park(v, 1.0) is False
         assert (v.parked_at, v.planned_duration_s) == parked
 
     def test_hazard_statistics(self, default_city):
         rng = np.random.default_rng(7)
-        m = ParkingModel()  # hazard 1/110
+        tp = walker(default_city, rng, ParkingModel())  # hazard 1/110
         trials = 20000
         parks = 0
         for _ in range(trials):
             v = make_vehicle(default_city)
-            if maybe_park(v, m, 0.0, rng):
+            if tp.maybe_park(v, 0.0):
                 parks += 1
         assert parks / trials == pytest.approx(1 / 110, rel=0.2)
 
     def test_departure_at_planned_time(self):
-        v = Vehicle(1, 0, 0, 8.0, Cell(0, 0), parked_at=100.0, planned_duration_s=50.0)
+        v = Vehicle(1, 0, 0, Cell(0, 0), parked_at=100.0, planned_duration_s=50.0)
         assert not should_depart(v, 149.9)
         assert should_depart(v, 150.0)
         assert should_depart(v, 151.0)
 
     def test_moving_vehicle_never_departs(self):
-        v = Vehicle(1, 0, 0, 8.0, Cell(0, 0))
+        v = Vehicle(1, 0, 0, Cell(0, 0))
         assert not should_depart(v, 1e9)
 
     def test_uniform_duration_mean(self):
@@ -351,9 +392,10 @@ class TestTrafficProcess:
 class TestManhattanIntegration:
     def test_vehicle_explores_lattice(self, rng):
         g = build_manhattan_city(blocks_x=2, blocks_y=2)
+        tp = walker(g, rng)
         v = make_vehicle(g)
         visited = set()
         for _ in range(3000):
-            step_vehicle(v, g, rng)
+            tp.step(v)
             visited.add(v.cell)
         assert len(visited) > len(g.usable_cells) * 0.5
