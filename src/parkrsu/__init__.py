@@ -43,6 +43,7 @@ from .sim import (
     MetricsSample,
     RunResult,
     Simulation,
+    pooled_stats,
     random_assignment_bounds,
     run,
     steady_state_stats,
@@ -84,6 +85,7 @@ __all__ = [
     "decide",
     "enumerate_solutions",
     "load_city",
+    "pooled_stats",
     "random_assignment_bounds",
     "read_beacon_log",
     "run",

@@ -16,14 +16,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import RunConfig, _read_ini
 from .errors import ConfigurationError, MalformedLineError, OutOfBoundsError
 from .maps import DEFAULT_MIN_SAMPLES, CoverageMapBuilder, read_beacon_log, write_cell_stats_csv, write_coverage_csv
 from .sim import (
+    STEADY_METRICS,
     RunResult,
     Simulation,
+    StatPair,
+    pooled_stats,
     random_assignment_bounds,
     run,
     steady_state_stats,
@@ -135,7 +139,7 @@ def _print_summary(cfg: RunConfig, result: RunResult) -> None:
         print("steady state: no samples after the discard window")
         return
     print(f"steady-state samples: {summary.n_samples} (discard_s={cfg.sim.discard_s:g})")
-    for name in ("active_rsus", "coverage_pct", "mean_signal", "mean_saturation", "area_per_rsu_m2"):
+    for name in STEADY_METRICS:
         pair = getattr(summary, name)
         print(f"{name}: mean={pair.mean:.4f} sd={pair.sd:.4f}")
 
@@ -151,7 +155,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_METRICS = ("active_rsus", "coverage_pct", "mean_signal", "mean_saturation", "area_per_rsu_m2")
+def _sweep_row(field: str, value: str, seed: int | str, n_samples: int, pairs: Iterable[StatPair]) -> str:
+    """One sweep.csv row: the run or pool, then each figure's mean and sd in STEADY_METRICS order."""
+    return ",".join([field, value, str(seed), str(n_samples), *(f"{p.mean:.6f},{p.sd:.6f}" for p in pairs)])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -195,28 +201,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             s = steady_state_stats(result.metrics, cfg.sim.discard_s)
         except ValueError:
-            rows.append(f"{args.field},{value},{seed},0,,,,,,,,,,")
+            rows.append(_sweep_row(args.field, value, seed, 0, []) + ",," * len(STEADY_METRICS))
             continue
         by_value.setdefault(value, []).append(s)
-        cells = [f"{args.field}", f"{value}", f"{seed}", f"{s.n_samples}"]
-        for name in _SWEEP_METRICS:
-            pair = getattr(s, name)
-            cells.append(f"{pair.mean:.6f}")
-            cells.append(f"{pair.sd:.6f}")
-        rows.append(",".join(cells))
-    # One pooled row per value: mean and spread of the per-seed steady means.
-    for value in values:
-        summaries = by_value.get(value)
-        if not summaries:
-            continue
-        cells = [f"{args.field}", f"{value}", "pooled", f"{sum(s.n_samples for s in summaries)}"]
-        for name in _SWEEP_METRICS:
-            means = [getattr(s, name).mean for s in summaries]
-            mu = sum(means) / len(means)
-            var = sum((m - mu) ** 2 for m in means) / len(means)
-            cells.append(f"{mu:.6f}")
-            cells.append(f"{var ** 0.5:.6f}")
-        rows.append(",".join(cells))
+        rows.append(_sweep_row(args.field, value, seed, s.n_samples, [getattr(s, n) for n in STEADY_METRICS]))
+    for value, summaries in by_value.items():
+        n_samples = sum(s.n_samples for s in summaries)
+        rows.append(_sweep_row(args.field, value, "pooled", n_samples, pooled_stats(summaries).values()))
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for row in rows:

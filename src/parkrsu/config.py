@@ -158,6 +158,14 @@ class RunConfig:
             raise ConfigurationError("decision.learning_period_s must be positive")
         if self.traffic.speed_mps <= 0:
             raise ConfigurationError("traffic.speed_mps must be positive")
+        grid = build_grid(self)
+        # No mover needs to cross more than the city in one tick; far faster, the
+        # step's distance budget stops shrinking and TrafficProcess.step never returns.
+        side = max(grid.width, grid.height)
+        if self.traffic.speed_mps > side * grid.cell_size_m:
+            raise ConfigurationError(
+                f"traffic.speed_mps must be at most the city's longer side per tick ({side} cells of {grid.cell_size_m:g} m)"
+            )
         s = self.sim
         if s.seed < 0:
             raise ConfigurationError("sim.seed must be non-negative")
@@ -170,7 +178,7 @@ class RunConfig:
         if s.bounds_fill_count < 1:
             raise ConfigurationError("sim.bounds_fill_count must be >= 1")
         return RunModels(
-            build_grid(self),
+            grid,
             build_propagation(self),
             build_weights(self),
             build_policy(self),

@@ -94,6 +94,17 @@ class StatPair:
     mean: float
     sd: float
 
+    @classmethod
+    def of(cls, values: Sequence[float]) -> StatPair:
+        """Mean and population standard deviation of a non-empty series."""
+        arr = np.asarray(values, dtype=float)
+        lo, hi = float(arr.min()), float(arr.max())
+        if lo == hi:
+            # A constant series has sd exactly 0; don't let summation
+            # round-off report a phantom spread.
+            return cls(mean=lo, sd=0.0)
+        return cls(mean=float(arr.mean()), sd=float(arr.std()))
+
 
 @dataclass
 class SteadyStateSummary:
@@ -103,6 +114,10 @@ class SteadyStateSummary:
     mean_signal: StatPair
     mean_saturation: StatPair
     area_per_rsu_m2: StatPair
+
+
+# The steady-state figures, in output order; MetricsSample has a field of each name.
+STEADY_METRICS = tuple(f.name for f in dataclasses.fields(SteadyStateSummary) if f.name != "n_samples")
 
 
 @dataclass
@@ -356,28 +371,18 @@ def run(config: RunConfig) -> RunResult:
 
 
 def steady_state_stats(metrics: Sequence[MetricsSample], discard_s: float) -> SteadyStateSummary:
-    """Mean and standard deviation per metric after dropping the transient."""
+    """Mean and standard deviation per figure after dropping the transient."""
     kept = [m for m in metrics if m.t >= discard_s]
     if not kept:
         raise ValueError(f"no metrics samples at or after discard_s={discard_s}")
-
-    def pair(values: list[float]) -> StatPair:
-        arr = np.asarray(values, dtype=float)
-        lo, hi = float(arr.min()), float(arr.max())
-        if lo == hi:
-            # A constant series has sd exactly 0; don't let summation
-            # round-off report a phantom spread.
-            return StatPair(mean=lo, sd=0.0)
-        return StatPair(mean=float(arr.mean()), sd=float(arr.std()))
-
     return SteadyStateSummary(
-        n_samples=len(kept),
-        active_rsus=pair([m.active_rsus for m in kept]),
-        coverage_pct=pair([m.coverage_pct for m in kept]),
-        mean_signal=pair([m.mean_signal for m in kept]),
-        mean_saturation=pair([m.mean_saturation for m in kept]),
-        area_per_rsu_m2=pair([m.area_per_rsu_m2 for m in kept]),
+        len(kept), **{name: StatPair.of([getattr(m, name) for m in kept]) for name in STEADY_METRICS}
     )
+
+
+def pooled_stats(summaries: Sequence[SteadyStateSummary]) -> dict[str, StatPair]:
+    """Per figure, in STEADY_METRICS order: mean and spread of the steady means of runs of one setting."""
+    return {name: StatPair.of([getattr(s, name).mean for s in summaries]) for name in STEADY_METRICS}
 
 
 def _traffic_tick(

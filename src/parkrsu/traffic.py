@@ -214,7 +214,6 @@ class TrafficProcess:
         self._border = grid.border_cells
         if not self._border:
             raise ConfigurationError("grid has no usable border cells to spawn on")
-        (ox, oy), s = grid.origin, grid.cell_size_m
         road = {c: c for c in grid.usable_cells}
         get = road.get
         self._roads: dict[Cell, tuple[Cell, ...]] = {}
@@ -222,7 +221,7 @@ class TrafficProcess:
         for c in road:
             x, y = c
             self._roads[c] = tuple(filter(None, (get((x + 1, y)), get((x - 1, y)), get((x, y + 1)), get((x, y - 1)))))
-            self._center[c] = ((x - ox + 0.5) * s, (y - oy + 0.5) * s)
+            self._center[c] = grid.center_of(c)
         self._park_p = min(1.0, model.park_hazard_per_s)
         self._day_times: np.ndarray | None = None
         self._day_ptr = 0

@@ -30,6 +30,7 @@ from parkrsu.maps import CoverageMap, CoverageMapBuilder
 from parkrsu.radio import synthesize_beacon_log
 from parkrsu.sim import (
     CAUSE_FORCED,
+    pooled_stats,
     random_assignment_bounds,
     run,
     steady_state_stats,
@@ -96,18 +97,9 @@ def cfg_with(**overrides) -> RunConfig:
 
 
 def pooled_means(runner, seeds, **overrides):
-    """Per-metric mean of steady-state means across seeds for one setting."""
-    rows = [runner(cfg_with(seed=s, **overrides))[1] for s in seeds]
-    return {
-        name: sum(getattr(s, name).mean for s in rows) / len(rows)
-        for name in (
-            "active_rsus",
-            "coverage_pct",
-            "mean_signal",
-            "mean_saturation",
-            "area_per_rsu_m2",
-        )
-    }
+    """Per-figure pooled mean across seeds for one setting, as `parkrsu sweep` pools them."""
+    pooled = pooled_stats([runner(cfg_with(seed=s, **overrides))[1] for s in seeds])
+    return {name: pair.mean for name, pair in pooled.items()}
 
 
 def test_c01_enumeration_count_exactness():

@@ -19,7 +19,7 @@ from parkrsu.config import RunConfig, build_grid, build_propagation
 from parkrsu.grid import save_city
 from parkrsu.maps import write_beacon_log
 from parkrsu.radio import synthesize_beacon_log
-from parkrsu.sim import BOUNDS_HEADER, METRICS_HEADER
+from parkrsu.sim import BOUNDS_HEADER, METRICS_HEADER, pooled_stats, run, steady_state_stats
 
 TOY = [
     "--set", "blocks_x=2",
@@ -149,6 +149,20 @@ class TestSweep:
         assert seeds.count("9") == 2 and seeds.count("10") == 2
         for i in range(4):
             assert (tmp_path / f"run_{i:03d}" / "metrics.csv").exists()
+
+    def test_pooled_rows_pool_the_per_seed_stats(self, tmp_path):
+        argv = ["sweep", *TOY, "--out", str(tmp_path), "--field", "w_sat", "--values", "0.1,0.3", "--seeds", "2"]
+        assert main(argv) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        toy = dict(item.split("=", 1) for item in TOY[1::2])
+        expected = []
+        for w_sat in ("0.1", "0.3"):
+            cfgs = [RunConfig().with_overrides(**{**toy, "w_sat": w_sat, "seed": seed}) for seed in (9, 10)]
+            per_seed = [steady_state_stats(run(cfg).metrics, cfg.sim.discard_s) for cfg in cfgs]
+            cells = ["w_sat", w_sat, "pooled", str(sum(s.n_samples for s in per_seed))]
+            cells += [f"{p.mean:.6f},{p.sd:.6f}" for p in pooled_stats(per_seed).values()]
+            expected.append(",".join(cells))
+        assert [line for line in lines if ",pooled," in line] == expected
 
     def test_single_value_sweep_equals_simulate(self, tmp_path):
         sweep_out = tmp_path / "sweep"
@@ -309,6 +323,7 @@ class TestInferMap:
         ["simulate", *TOY, "--set", "noise_sd=nan"],
         ["simulate", *TOY, "--set", "speed_mps=nan"],
         ["simulate", *TOY, "--set", "speed_mps=inf"],
+        ["simulate", *TOY, "--set", "speed_mps=1e18"],
         ["bounds", *TOY, "--set", "range_multiplier=NaN"],
         ["sweep", *TOY, "--field", "w_sat", "--values", "0.2,nan"],
         ["simulate", *TOY, "--set", "base_range_m=inf"],
@@ -339,6 +354,7 @@ class TestInferMap:
         "set-nan-noise",
         "set-nan-speed",
         "set-inf-speed",
+        "speed-beyond-city",
         "set-nan-range-multiplier",
         "sweep-nan-value",
         "set-inf-base-range",

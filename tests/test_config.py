@@ -168,6 +168,15 @@ class TestOverrides:
         with pytest.raises(ConfigurationError, match=rf"^traffic\.{field_name} "):
             RunConfig.default().with_overrides(mode=mode, **{field_name: value})
 
+    def test_speed_beyond_city_side_rejected(self):
+        # Far faster, a step's distance budget stops shrinking and the step never returns.
+        grid = build_grid(RunConfig())
+        side_m = max(grid.width, grid.height) * grid.cell_size_m
+        assert RunConfig.default().with_overrides(speed_mps=side_m).traffic.speed_mps == side_m
+        for speed in (side_m * 1.001, 1e18):
+            with pytest.raises(ConfigurationError, match=r"^traffic\.speed_mps must be at most"):
+                RunConfig.default().with_overrides(speed_mps=speed)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match=r"sim\.seed"):
             RunConfig.default().with_overrides(seed=-1)

@@ -32,10 +32,13 @@ from parkrsu.sim import (
     LIFETIMES_HEADER,
     METRICS_HEADER,
     CommandRecord,
+    STEADY_METRICS,
     MetricsSample,
     RsuLifetimeRecord,
     Simulation,
+    StatPair,
     _warmed_up_parked_cells,
+    pooled_stats,
     random_assignment_bounds,
     run,
     steady_state_stats,
@@ -548,6 +551,15 @@ class TestSteadyStateStats:
         series = [_sample(float(t), 5.0) for t in range(10)]
         with pytest.raises(ValueError):
             steady_state_stats(series, discard_s=100.0)
+
+    def test_pooled_identical_runs_keep_the_mean_with_sd_zero(self):
+        # mean_signal is 0.1 here, and 0.1 + 0.1 + 0.1 == 0.30000000000000004:
+        # pooling equal runs must not turn summation round-off into spread.
+        one = steady_state_stats([_sample(float(t), 1.0) for t in range(10)], discard_s=0.0)
+        pooled = pooled_stats([one, one, one])
+        assert tuple(pooled) == STEADY_METRICS
+        for name, pair in pooled.items():
+            assert pair == StatPair(mean=getattr(one, name).mean, sd=0.0)
 
 
 def toy_config(**overrides) -> RunConfig:
