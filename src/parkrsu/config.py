@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .decision import BatteryPolicy, ScoringWeights
-from .errors import ConfigurationError
+from .errors import ConfigurationError, open_text
 from .grid import DEFAULT_CELL_SIZE_M, CityGrid, build_manhattan_city, load_city
 from .maps import DEFAULT_MIN_SAMPLES
 from .radio import DEFAULT_NOISE_SD, PropagationConfig
@@ -211,10 +211,13 @@ class RunModels(NamedTuple):
 
 
 def _read_ini(path) -> dict[str, str]:
-    """Flat name -> raw text of every field in an INI config file."""
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh, source=str(path))
+    """Flat name -> raw text of every field in an INI config file, read literally (no % interpolation)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open_text(path) as fh:
+            parser.read_file(fh, source=str(path))
+    except (configparser.DuplicateOptionError, configparser.DuplicateSectionError, configparser.ParsingError) as exc:
+        raise ConfigurationError(f"{path}: {_ini_problem(exc)}") from None
     items = {}
     for section_name in parser.sections():
         if section_name not in _SECTIONS:
@@ -224,6 +227,17 @@ def _read_ini(path) -> dict[str, str]:
                 raise ConfigurationError(f"{path}: unknown field {section_name}.{key}")
             items[key] = raw
     return items
+
+
+def _ini_problem(exc) -> str:
+    """One line for what the INI parser rejected; its own messages span lines."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: repeated field {exc.section}.{exc.option}"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: repeated section [{exc.section}]"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: text before the first [section] header"
+    return f"line {exc.errors[0][0]}: not a [section] header, a field = value line or a comment"
 
 
 def _coerce(section: str, key: str, raw, ftype):

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the opener of text inputs that raises them."""
+
+from contextlib import contextmanager
 
 
 class ConfigurationError(ValueError):
@@ -11,3 +13,13 @@ class OutOfBoundsError(ValueError):
 
 class MalformedLineError(ValueError):
     """Unparseable line in an external text input (message names the line)."""
+
+
+@contextmanager
+def open_text(path):
+    """Open an input file as UTF-8 text; bytes that do not decode raise MalformedLineError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise MalformedLineError(f"{path}: not UTF-8 text") from None

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, MalformedLineError, OutOfBoundsError
+from .errors import ConfigurationError, MalformedLineError, OutOfBoundsError, open_text
 
 DEFAULT_CELL_SIZE_M = 30.9  # one second of GPS latitude, squared off
 
@@ -172,7 +172,7 @@ def load_city(path, cell_size_m: float = DEFAULT_CELL_SIZE_M) -> CityGrid:
     """Read a city from ``x,y,flag`` lines; grid bounds come from the data."""
     roads: set[Cell] = set()
     buildings: set[Cell] = set()
-    with open(path) as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import MalformedLineError
+from .errors import MalformedLineError, open_text
 from .grid import Cell
 from .radio import MAX_RSSI, MAX_STRENGTH, MIN_RSSI, rssi_to_strength
 
@@ -168,7 +168,7 @@ def write_beacon_log(rows: Iterable[tuple[float, int, Cell, int]], path) -> None
 
 def read_beacon_log(path) -> Iterator[tuple[float, int, Cell, int]]:
     """Parse a beacon-log file, skipping its header line if it has one."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         first = fh.readline()
         if first.startswith("time_s"):
             first = ""  # blank lines are skipped, so line numbers still count it

@@ -202,7 +202,7 @@ class FootprintCache:
         keep = pos >= 0
         cls = st.cls[keep]
         if self.cfg.nlos_penalty:
-            blocked = (st.obstruction[at + st.crossed[keep]] & st.crossed_valid[keep]).any(axis=1)
+            blocked = st.obstruction[at + st.crossed[keep]].any(axis=1)
             # strength() floors a blocked class at 0.
             cls = np.maximum(cls - self.cfg.nlos_penalty * blocked, 0)
         row = np.zeros(len(self.index), dtype=np.int8)
@@ -241,12 +241,11 @@ class _Stencil:
                 paths.append(cells_on_segment(Cell(0, 0), Cell(dx, dy))[1:-1])
         dx, dy, self.cls = np.array(offsets, dtype=np.int64).T
         self.target = dx * self.stride + dy
-        width = max(len(p) for p in paths)
-        self.crossed = np.zeros((len(paths), width), dtype=np.int64)
-        self.crossed_valid = np.zeros((len(paths), width), dtype=bool)
+        # Short paths are padded with their own target: a kept target is
+        # usable, and no usable cell is an obstruction, so the pad never blocks.
+        self.crossed = np.repeat(self.target[:, None], max(len(p) for p in paths), axis=1)
         for i, path in enumerate(paths):
             self.crossed[i, : len(path)] = [c.x * self.stride + c.y for c in path]
-            self.crossed_valid[i, : len(path)] = True
 
 
 def synthesize_beacon_log(

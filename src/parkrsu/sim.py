@@ -144,12 +144,11 @@ class Simulation:
         self._cell_area = self.grid.cell_size_m**2
 
         self._vehicles: dict[int, Vehicle] = {}  # parked cars, in parking order
-        self._moving: dict[int, Vehicle] = {}
         self._learning: dict[int, tuple[Vehicle, CoverageMapBuilder]] = {}
         self._active: dict[int, float] = {}  # serving unit -> activation time, in activation order
         self._learned: dict[int, CoverageMap] = {}
         self._pending: deque[int] = deque()
-        self._departures: list[tuple[float, int, Vehicle]] = []
+        self._departures: list[tuple[float, int, Vehicle]] = []  # heap of (due time, vid, parked car)
 
         self.metrics: list[MetricsSample] = []
         self.lifetimes: list[RsuLifetimeRecord] = []
@@ -195,12 +194,14 @@ class Simulation:
         self._phase_metrics(t)
 
     def _phase_traffic(self, t: float) -> None:
-        parked, departed = _traffic_tick(self.traffic, self._moving, self._departures, t)
-        for v in parked:
+        departures = self._departures
+        for v in self.traffic.tick(t):
             self.parking_events += 1
             self._vehicles[v.vid] = v
             self._learning[v.vid] = (v, CoverageMapBuilder(v.vid))
-        for v in departed:
+            heapq.heappush(departures, (v.parked_at + v.planned_duration_s, v.vid, v))
+        while departures and should_depart(departures[0][2], t):
+            v = heapq.heappop(departures)[2]
             if v.vid in self._active:
                 self._revoke(v.vid, t, CAUSE_DEPARTURE)
             del self._vehicles[v.vid]
@@ -218,11 +219,11 @@ class Simulation:
             self._pending.append(vid)
 
     def _phase_beacons(self, t: float) -> None:
-        movers = self._moving
+        movers = self.traffic.moving
         self.message_counts[KIND_CAM] += len(movers)
         if not movers or not self._learning:
             return
-        mover_cells = [v.cell for v in movers.values()]
+        mover_cells = [v.cell for v in movers]
         at = [self._footprints.index[c] for c in mover_cells]
         learners = list(self._learning.values())
         # classes[i, j]: class at which learner i hears mover j (0: out of reach).
@@ -385,48 +386,18 @@ def pooled_stats(summaries: Sequence[SteadyStateSummary]) -> dict[str, StatPair]
     return {name: StatPair.of([getattr(s, name).mean for s in summaries]) for name in STEADY_METRICS}
 
 
-def _traffic_tick(
-    traffic: TrafficProcess,
-    moving: dict[int, Vehicle],
-    departures: list[tuple[float, int, Vehicle]],
-    t: float,
-) -> tuple[list[Vehicle], list[Vehicle]]:
-    """One tick of traffic: arrivals, then every mover steps, then every mover
-    draws one parking trial; parked cars enter the departures heap (due time,
-    vid, car). Returns (cars parked this tick, cars departed this tick).
-    """
-    for v in traffic.spawn(t):
-        moving[v.vid] = v
-    for v in moving.values():
-        traffic.step(v)
-    parked = [v for v in moving.values() if traffic.maybe_park(v, t)]
-    for v in parked:
-        del moving[v.vid]
-        heapq.heappush(departures, (v.parked_at + v.planned_duration_s, v.vid, v))
-    departed = []
-    while departures and should_depart(departures[0][2], t):
-        departed.append(heapq.heappop(departures)[2])
-    return parked, departed
-
-
 def _warmed_up_parked_cells(traffic: TrafficProcess, discard_s: float) -> list[Cell]:
     """Cells of the cars the traffic leaves parked after discard_s, in parking order.
 
-    Runs the simulation's traffic lifecycle alone (no radio, no decisions)
-    from t=0 for the discard window, so the snapshot reflects where
-    vehicles actually park, including the extra weight busy cells such as
-    intersections receive.
+    Runs the simulation's traffic alone (no radio, no decisions) from t=0
+    for the discard window, so the snapshot reflects where vehicles actually
+    park, including the extra weight busy cells such as intersections
+    receive. Departures draw nothing and parked cars never move, so the cars
+    left are the parked ones not yet due at the last tick.
     """
-    moving: dict[int, Vehicle] = {}
-    departures: list[tuple[float, int, Vehicle]] = []
-    parked: dict[int, Vehicle] = {}
-    for tick in range(max(1, int(round(discard_s)))):
-        now_parked, departed = _traffic_tick(traffic, moving, departures, float(tick))
-        for v in now_parked:
-            parked[v.vid] = v
-        for v in departed:
-            del parked[v.vid]
-    return [v.cell for v in parked.values()]
+    n = max(1, int(round(discard_s)))
+    parked = [v for tick in range(n) for v in traffic.tick(float(tick))]
+    return [v.cell for v in parked if not should_depart(v, n - 1)]
 
 
 def random_assignment_bounds(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, MalformedLineError
+from .errors import ConfigurationError, MalformedLineError, open_text
 from .grid import Cell, CityGrid
 
 DEFAULT_SPEED_MPS = 8.0
@@ -133,7 +133,7 @@ class ParkingModel:
 def load_day_profile(path) -> tuple[tuple[float, float, float], ...]:
     """Read 24 ``hour,weight,median_s,sigma`` lines into profile rows."""
     rows: dict[int, tuple[float, float, float]] = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("hour"):
@@ -196,11 +196,11 @@ def should_depart(v: Vehicle, t: float) -> bool:
 
 
 class TrafficProcess:
-    """Single-writer owner of arrivals, ids, the mobility random stream and the traffic rules.
+    """Single-writer owner of arrivals, ids, the movers, the mobility random stream and the traffic rules.
 
     The road graph is fixed per grid, so construction tables each usable
     cell's usable 4-neighbors (+x, -x, +y, -y) and center; stepping and
-    parking make no grid query.
+    parking make no grid query. tick fixes the order of a tick's draws.
     """
 
     def __init__(
@@ -211,6 +211,7 @@ class TrafficProcess:
         self.rng = rng
         self.speed_mps = speed_mps
         self._next_id = 1
+        self.moving: list[Vehicle] = []  # cars on the road, in spawn order
         self._border = grid.border_cells
         if not self._border:
             raise ConfigurationError("grid has no usable border cells to spawn on")
@@ -252,6 +253,18 @@ class TrafficProcess:
         if len(options) == 1:
             return options[0]
         return options[int(self.rng.integers(len(options)))]
+
+    def tick(self, t: float) -> list[Vehicle]:
+        """One tick of traffic: arrivals join the road, every mover steps, then
+        every mover draws one parking trial. Returns the cars parked this tick,
+        which leave moving."""
+        self.moving.extend(self.spawn(t))
+        for v in self.moving:
+            self.step(v)
+        parked = [v for v in self.moving if self.maybe_park(v, t)]
+        if parked:
+            self.moving[:] = [v for v in self.moving if v.parked_at is None]
+        return parked
 
     def spawn(self, t: float) -> list[Vehicle]:
         """New vehicles for the one-second tick at t, placed on random usable border cells."""

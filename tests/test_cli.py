@@ -397,6 +397,45 @@ def test_directory_as_input_exits_2_naming_it(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        ("[sim]\nseed = 1\nseed = 2\n", "line 3: repeated field sim.seed"),
+        ("[sim]\nseed = 1\n[sim]\nduration_s = 5\n", "line 3: repeated section [sim]"),
+        ("seed = 1\n", "line 1: text before the first [section] header"),
+        ("[sim]\nseed = 1\nnot an option\n", "line 3: not a [section] header, a field = value line or a comment"),
+    ],
+    ids=["repeated-field", "repeated-section", "no-section-header", "unparsable-line"],
+)
+def test_malformed_config_exits_2_naming_file_and_line(tmp_path, capsys, text, problem):
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert toy_simulate(out, "--config", str(config)) == 2
+    assert capsys.readouterr().err == f"error: {config}: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", *TOY, "--config", "{bad}"],
+        ["simulate", *TOY, "--set", "city_file={bad}"],
+        ["simulate", *TOY, "--set", "mode=day_profile", "--set", "profile_file={bad}"],
+        ["infer-map", "--log", "{bad}"],
+    ],
+    ids=["config", "city-file", "profile-file", "beacon-log"],
+)
+def test_non_utf8_input_exits_2_naming_it(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"caf\xe9\n")
+    out = tmp_path / "out"
+    argv = [arg.replace("{bad}", str(bad)) for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+    assert not out.exists()
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")

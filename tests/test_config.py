@@ -15,6 +15,7 @@ from parkrsu.config import (
 )
 from parkrsu.decision import BatteryPolicy, ScoringWeights
 from parkrsu.errors import ConfigurationError
+from parkrsu.grid import save_city
 from parkrsu.radio import PropagationConfig
 from parkrsu.traffic import DAY_PROFILE, ParkingModel
 
@@ -235,6 +236,15 @@ class TestIniRoundTrip:
         p.write_text("[sim]\nseed = banana\n")
         with pytest.raises(ConfigurationError, match=r"sim\.seed"):
             RunConfig.from_file(p)
+
+    def test_percent_in_a_value_is_read_literally(self, tmp_path):
+        city = tmp_path / "100%.txt"
+        save_city(build_grid(RunConfig()), city)
+        cfg = RunConfig().with_overrides(city_file=str(city))
+        p = tmp_path / "dump.ini"
+        p.write_text(cfg.to_ini())
+        assert f"city_file = {city}" in p.read_text()
+        assert RunConfig.from_file(p) == cfg
 
     def test_error_message_names_path(self, tmp_path):
         p = tmp_path / "bad3.ini"

@@ -389,6 +389,32 @@ class TestTrafficProcess:
         assert trace(42) != trace(43)
 
 
+class TestTick:
+    @pytest.mark.parametrize(
+        "model,start", [(ParkingModel(), 0), (day_profile_model(4000), 8 * 3600)], ids=["uniform", "day"]
+    )
+    def test_tick_is_spawn_then_step_then_park(self, default_city, model, start):
+        # tick fixes the order of a tick's draws; the hand loop spells it out
+        # on a second process with the same seed.
+        ticked = TrafficProcess(model, default_city, np.random.default_rng(7))
+        by_hand = TrafficProcess(model, default_city, np.random.default_rng(7))
+        moving: list[Vehicle] = []
+        parked_total = 0
+        for t in range(start, start + 400):
+            parked = ticked.tick(float(t))
+            moving.extend(by_hand.spawn(float(t)))
+            for v in moving:
+                by_hand.step(v)
+            expected = [v for v in moving if by_hand.maybe_park(v, float(t))]
+            moving = [v for v in moving if v.parked_at is None]
+            assert parked == expected
+            assert ticked.moving == moving
+            parked_total += len(parked)
+        assert parked_total > 0
+        assert all(v.parked_at is None for v in ticked.moving)
+        assert ticked.rng.bit_generator.state == by_hand.rng.bit_generator.state
+
+
 class TestManhattanIntegration:
     def test_vehicle_explores_lattice(self, rng):
         g = build_manhattan_city(blocks_x=2, blocks_y=2)
