@@ -18,7 +18,7 @@ from .errors import ConfigurationError, open_text
 from .grid import DEFAULT_CELL_SIZE_M, CityGrid, build_manhattan_city, load_city
 from .maps import DEFAULT_MIN_SAMPLES
 from .radio import DEFAULT_NOISE_SD, PropagationConfig
-from .traffic import DAY_PROFILE, DEFAULT_SPEED_MPS, ParkingModel, load_day_profile, profile_fields
+from .traffic import DAY_PROFILE, DEFAULT_SPEED_MPS, ParkingModel, check_speed, load_day_profile, profile_fields
 
 
 @dataclass
@@ -156,16 +156,8 @@ class RunConfig:
             raise ConfigurationError("maps.min_samples must be >= 1")
         if self.decision.learning_period_s <= 0:
             raise ConfigurationError("decision.learning_period_s must be positive")
-        if self.traffic.speed_mps <= 0:
-            raise ConfigurationError("traffic.speed_mps must be positive")
         grid = build_grid(self)
-        # No mover needs to cross more than the city in one tick; far faster, the
-        # step's distance budget stops shrinking and TrafficProcess.step never returns.
-        side = max(grid.width, grid.height)
-        if self.traffic.speed_mps > side * grid.cell_size_m:
-            raise ConfigurationError(
-                f"traffic.speed_mps must be at most the city's longer side per tick ({side} cells of {grid.cell_size_m:g} m)"
-            )
+        check_speed(self.traffic.speed_mps, grid)
         s = self.sim
         if s.seed < 0:
             raise ConfigurationError("sim.seed must be non-negative")
@@ -212,7 +204,8 @@ class RunModels(NamedTuple):
 
 def _read_ini(path) -> dict[str, str]:
     """Flat name -> raw text of every field in an INI config file, read literally (no % interpolation)."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header names the empty section, so [DEFAULT] is an ordinary, unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open_text(path) as fh:
             parser.read_file(fh, source=str(path))

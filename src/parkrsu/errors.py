@@ -17,8 +17,11 @@ class MalformedLineError(ValueError):
 
 @contextmanager
 def open_text(path):
-    """Open an input file as UTF-8 text; bytes that do not decode raise MalformedLineError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    """Open an input file as UTF-8 text, dropping a leading byte-order mark.
+
+    Bytes that do not decode raise MalformedLineError naming the file.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError:

@@ -400,6 +400,45 @@ def _warmed_up_parked_cells(traffic: TrafficProcess, discard_s: float) -> list[C
     return [v.cell for v in parked if not should_depart(v, n - 1)]
 
 
+def _union_totals(levels: np.ndarray, car_at: np.ndarray):
+    """Per-sample merged_totals of random networks, from bitwise unions.
+
+    levels is the reach_levels table (distinct cell, usable cell, level) of
+    the cells the cars stand on, car_at each car's distinct cell. The
+    returned function maps a batch of samples (non-empty arrays of car
+    indices) to their covered cells, summed best class and summed
+    contributor count: a (level, cell) column counts once when any chosen
+    car reaches it, and each chosen car adds its footprint size.
+    """
+    n_distinct, n_cells, _ = levels.shape
+    # The distinct cells reaching each (level, cell) column, column by column;
+    # level-major, so the level-1 columns come first.
+    columns, support = np.nonzero(levels.transpose(2, 1, 0).reshape(5 * n_cells, n_distinct))
+    starts = np.flatnonzero(np.diff(columns, prepend=-1))
+    n_level1 = int(np.searchsorted(columns[starts], n_cells))
+    footprint_sizes = np.count_nonzero(levels[:, :, 0], axis=1)
+
+    def totals(chosen: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = len(chosen)
+        sizes = np.array([len(c) for c in chosen])
+        flat = car_at[np.concatenate(chosen)]
+        contributors = np.add.reduceat(footprint_sizes[flat], np.cumsum(sizes) - sizes)
+        # picked[d, s]: sample s chose a car on distinct cell d, packed along
+        # the samples into uint64 words, padded to whole words. The flat index
+        # is built in place: it holds every chosen car of the batch.
+        width = -(-n // 64) * 64
+        flat *= width
+        flat += np.repeat(np.arange(n), sizes)
+        picked = np.bincount(flat, minlength=n_distinct * width) > 0
+        words = np.packbits(picked.reshape(n_distinct, width), axis=1, bitorder="little").view(np.uint64)
+        unions = np.bitwise_or.reduceat(words[support], starts, axis=0)
+        reached = np.unpackbits(unions.view(np.uint8), axis=1, count=n, bitorder="little")
+        covered = reached[:n_level1].sum(axis=0, dtype=np.int32)
+        return covered, covered + reached[n_level1:].sum(axis=0, dtype=np.int32), contributors
+
+    return totals
+
+
 def random_assignment_bounds(
     config: RunConfig,
     num_samples: int,
@@ -432,41 +471,32 @@ def random_assignment_bounds(
         keep = rng.choice(len(fill_cells), size=config.sim.bounds_fill_count, replace=False)
         fill_cells = [fill_cells[int(i)] for i in sorted(keep)]
     n_cars = len(fill_cells)
-    # Cars parked on one cell share its footprint row, so the products run
-    # over distinct cells, weighted by how many chosen cars stand on each:
-    # car counts times the level table are the chosen network's summed levels.
+    # Cars parked on one cell share its footprint row, so the kernel works
+    # over distinct cells.
     slot: dict[Cell, int] = {}
     car_at = np.array([slot.setdefault(cell, len(slot)) for cell in fill_cells], dtype=np.intp)
-    distinct = list(slot)
-
-    rows = np.array([cache.footprint(cell) for cell in distinct])
-    levels = reach_levels(rows).reshape(len(distinct), 5 * grid.usable_count).astype(np.float32)
+    totals = _union_totals(reach_levels(np.array([cache.footprint(cell) for cell in slot])), car_at)
 
     samples: list[tuple[float, float]] = []
     skipped = 0
     batch_size = 1024
-    pending_rows: list[np.ndarray] = []
+    batch: list[np.ndarray] = []
 
     def flush() -> None:
-        if not pending_rows:
-            return
-        reached = (np.stack(pending_rows) @ levels).reshape(len(pending_rows), grid.usable_count, 5)
-        n_cov, best_total, contributors = merged_totals(reached)
-        mean_sig = best_total / n_cov
-        mean_sat = contributors / n_cov
-        samples.extend((float(a), float(b)) for a, b in zip(mean_sig, mean_sat))
-        pending_rows.clear()
+        n_cov, best_total, contributors = totals(batch)
+        samples.extend(zip((best_total / n_cov).tolist(), (contributors / n_cov).tolist()))
+        batch.clear()
 
     for _ in range(num_samples):
         k = int(rng.integers(0, n_cars + 1))
         if k == 0:
             skipped += 1
             continue
-        chosen = rng.choice(n_cars, size=k, replace=False)
-        pending_rows.append(np.bincount(car_at[chosen], minlength=len(distinct)).astype(np.float32))
-        if len(pending_rows) >= batch_size:
+        batch.append(rng.choice(n_cars, size=k, replace=False))
+        if len(batch) == batch_size:
             flush()
-    flush()
+    if batch:
+        flush()
     return BoundsResult(samples=samples, skipped=skipped, fill_cells=fill_cells)
 
 

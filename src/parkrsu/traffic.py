@@ -195,6 +195,21 @@ def should_depart(v: Vehicle, t: float) -> bool:
     return v.parked_at is not None and t >= v.parked_at + v.planned_duration_s
 
 
+def check_speed(speed_mps: float, grid: CityGrid) -> None:
+    """Reject a speed that is not positive or that crosses more than the grid's longer side per tick.
+
+    Far faster, a step's distance budget stops shrinking in floating point
+    and TrafficProcess.step never returns.
+    """
+    if not speed_mps > 0:
+        raise ConfigurationError("traffic.speed_mps must be positive")
+    side = max(grid.width, grid.height)
+    if speed_mps > side * grid.cell_size_m:
+        raise ConfigurationError(
+            f"traffic.speed_mps must be at most the city's longer side per tick ({side} cells of {grid.cell_size_m:g} m)"
+        )
+
+
 class TrafficProcess:
     """Single-writer owner of arrivals, ids, the movers, the mobility random stream and the traffic rules.
 
@@ -206,6 +221,7 @@ class TrafficProcess:
     def __init__(
         self, model: ParkingModel, grid: CityGrid, rng: np.random.Generator, speed_mps: float = DEFAULT_SPEED_MPS
     ):
+        check_speed(speed_mps, grid)
         self.model = model
         self.grid = grid
         self.rng = rng

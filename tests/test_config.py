@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from parkrsu.config import (
@@ -17,7 +18,7 @@ from parkrsu.decision import BatteryPolicy, ScoringWeights
 from parkrsu.errors import ConfigurationError
 from parkrsu.grid import save_city
 from parkrsu.radio import PropagationConfig
-from parkrsu.traffic import DAY_PROFILE, ParkingModel
+from parkrsu.traffic import DAY_PROFILE, ParkingModel, TrafficProcess
 
 
 # (section, field) for every float config field.
@@ -178,6 +179,19 @@ class TestOverrides:
             with pytest.raises(ConfigurationError, match=r"^traffic\.speed_mps must be at most"):
                 RunConfig.default().with_overrides(speed_mps=speed)
 
+    def test_traffic_process_shares_the_speed_rule(self):
+        # The library path applies the rule RunConfig.validate does; no car is
+        # stepped at the rejected speed.
+        grid = build_grid(RunConfig())
+        with pytest.raises(ConfigurationError, match=r"^traffic\.speed_mps must be at most") as exc:
+            TrafficProcess(ParkingModel(), grid, np.random.default_rng(1), speed_mps=1e18)
+        with pytest.raises(ConfigurationError) as from_config:
+            RunConfig.default().with_overrides(speed_mps=1e18)
+        assert str(exc.value) == str(from_config.value)
+        for speed in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigurationError, match=r"^traffic\.speed_mps must be positive"):
+                TrafficProcess(ParkingModel(), grid, np.random.default_rng(1), speed_mps=speed)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match=r"sim\.seed"):
             RunConfig.default().with_overrides(seed=-1)
@@ -230,6 +244,24 @@ class TestIniRoundTrip:
         with pytest.raises(ConfigurationError, match=r"unknown section \[decison\]") as exc:
             RunConfig.from_file(p)
         assert str(p) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text", ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n[sim]\nduration_s = 60\n"], ids=["alone", "with-sim"]
+    )
+    def test_default_section_rejected_as_unknown(self, tmp_path, text):
+        # configparser would otherwise drop a lone [DEFAULT] silently, or copy
+        # its keys into every real section.
+        p = tmp_path / "defaults.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigurationError, match=r"unknown section \[DEFAULT\]") as exc:
+            RunConfig.from_file(p)
+        assert str(p) in str(exc.value)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        cfg = RunConfig.default().with_overrides(seed=3, w_sat=0.4)
+        p = tmp_path / "bom.ini"
+        p.write_bytes(b"\xef\xbb\xbf" + cfg.to_ini().encode())
+        assert RunConfig.from_file(p) == cfg
 
     def test_unparseable_value_names_field(self, tmp_path):
         p = tmp_path / "bad2.ini"

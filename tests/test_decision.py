@@ -389,7 +389,7 @@ class TestMergeKernel:
         summed = reach_levels(stack).sum(axis=1)
         assert summed.shape == (batch, n_cells, 5)
         totals = merged_totals(summed)
-        # The sampler's encoding: car counts times a float32 level table.
+        # decision._attributes' encoding: 0/1 choices times a float32 level table.
         table = reach_levels(stack).reshape(batch, n_maps, 5 * n_cells).astype(np.float32)
         product = (np.ones((batch, 1, n_maps), np.float32) @ table).reshape(batch, n_cells, 5)
         for b in range(batch):

@@ -203,6 +203,14 @@ class TestCityFileRoundTrip:
         assert loaded.origin == Cell(-5, -9)
         assert np.array_equal(loaded.usable, g.usable)
 
+    def test_byte_order_mark_is_dropped(self, two_block, tmp_path):
+        path = tmp_path / "city.txt"
+        save_city(two_block, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded = load_city(path)
+        assert np.array_equal(loaded.usable, two_block.usable)
+        assert np.array_equal(loaded.obstruction, two_block.obstruction)
+
     def test_malformed_line_names_the_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0,0,road\n1,zero,road\n")

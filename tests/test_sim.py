@@ -14,7 +14,7 @@ import pytest
 import parkrsu.config
 import parkrsu.sim
 from parkrsu.config import RunConfig, build_grid, build_propagation
-from parkrsu.decision import battery_indicator
+from parkrsu.decision import battery_indicator, merged_totals, reach_levels
 from parkrsu.errors import ConfigurationError
 from parkrsu.grid import Cell, CityGrid, build_manhattan_city, save_city
 from parkrsu.radio import FootprintCache, strength
@@ -37,6 +37,7 @@ from parkrsu.sim import (
     RsuLifetimeRecord,
     Simulation,
     StatPair,
+    _union_totals,
     _warmed_up_parked_cells,
     pooled_stats,
     random_assignment_bounds,
@@ -696,6 +697,22 @@ class TestRandomAssignmentBounds:
         digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
         assert digest == "06294b633a101f42887c5e495c8b2bd0d1f76148887fc7868fc3fbaec1445357"
 
+    @pytest.mark.parametrize(
+        "overrides,digest",
+        [
+            ({}, "f5f29bb293b6d2620e7f684b002b1dcd1b6428c6a2c25fe880a905dc43e84695"),
+            ({"range_multiplier": 2.0}, "aaef56ecf8fbe560f618d0acfa23489649afb91f4f138c4f5e37804c1ca0b34f"),
+        ],
+        ids=["default", "double-range"],
+    )
+    def test_bounds_csv_pinned_at_10000_samples(self, tmp_path, overrides, digest):
+        # The parkrsu bounds default size, on the default city: 9987 non-empty
+        # samples, nine full kernel batches and a partial one. Doubled range
+        # gives denser column supports.
+        result = random_assignment_bounds(make_config(**overrides), 10_000)
+        write_bounds_csv(result.samples, tmp_path / "bounds.csv")
+        assert hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest() == digest
+
     def test_deterministic_for_fixed_seed(self):
         cfg = toy_config(bounds_fill_count=6)
         a = random_assignment_bounds(cfg, 200)
@@ -703,6 +720,41 @@ class TestRandomAssignmentBounds:
         assert a.fill_cells == b.fill_cells
         assert a.samples == b.samples
         assert a.skipped == b.skipped
+
+
+def summed_level_totals(levels, car_at, chosen):
+    """merged_totals of each sample's summed levels: car counts times the level table."""
+    n_distinct = levels.shape[0]
+    counts = np.stack([np.bincount(car_at[c], minlength=n_distinct) for c in chosen])
+    reached = counts @ levels.reshape(n_distinct, -1).astype(np.int64)
+    return merged_totals(reached.reshape(len(chosen), *levels.shape[1:]))
+
+
+class TestUnionTotals:
+    @pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 1024])
+    @pytest.mark.parametrize("density", [0.02, 0.3])
+    def test_batches_match_summed_levels(self, n_samples, density):
+        # Random 0/1 tables, not only reach_levels ones: the kernel counts
+        # reached columns and needs no order between levels.
+        rng = np.random.default_rng([n_samples, int(density * 100)])
+        n_cars, n_distinct, n_cells = 40, 15, 70
+        levels = rng.random((n_distinct, n_cells, 5)) < density
+        car_at = rng.integers(0, n_distinct, n_cars)
+        chosen = [rng.choice(n_cars, size=int(rng.integers(1, n_cars + 1)), replace=False) for _ in range(n_samples)]
+        chosen[-1] = rng.permutation(n_cars)  # a sample that picks every car
+        got = _union_totals(levels, car_at)(chosen)
+        want = summed_level_totals(levels, car_at, chosen)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+    def test_one_car_population(self):
+        rng = np.random.default_rng(4)
+        levels = reach_levels(rng.integers(0, 6, (1, 30)).astype(np.int8))
+        car_at = np.zeros(1, dtype=np.intp)
+        chosen = [np.zeros(1, dtype=np.intp)] * 3
+        got = _union_totals(levels, car_at)(chosen)
+        want = summed_level_totals(levels, car_at, chosen)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+        assert got[2].tolist() == [np.count_nonzero(levels[0, :, 0])] * 3
 
 
 def test_city_file_read_once_per_run(tmp_path, monkeypatch):

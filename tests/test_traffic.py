@@ -228,11 +228,12 @@ class TestMobility:
     )
     def test_step_matches_scalar_walker(self, width, height, origin, roads, cell_size_m, cells_per_tick, start, seed):
         # Random road masks leave dead ends and isolated road cells, which the
-        # default lattice lacks; speeds fall on both sides of one cell per tick.
+        # default lattice lacks; speeds fall on both sides of one cell per tick,
+        # up to the grid's longer side per tick, the fastest TrafficProcess takes.
         usable = np.array(roads[: width * height]).reshape(width, height)
         usable[0, 0] = True  # a border road to spawn on
         g = CityGrid(width, height, usable, np.zeros_like(usable), origin=Cell(*origin), cell_size_m=cell_size_m)
-        speed = cells_per_tick * cell_size_m
+        speed = min(cells_per_tick, max(width, height)) * cell_size_m
         tp = walker(g, np.random.default_rng(seed), speed=speed)
         ref_rng = np.random.default_rng(seed)
         cell = g.usable_cells[start % len(g.usable_cells)]
