@@ -233,7 +233,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         extra={
             "bounds_samples": len(result.samples),
             "bounds_skipped_empty": result.skipped,
-            "bounds_fill_count": cfg.sim.bounds_fill_count,
+            "bounds_fill_cars": len(result.fill_cells),
         },
     )
     print(f"sampled {len(result.samples)} networks ({result.skipped} empty draws skipped)")

@@ -105,10 +105,6 @@ class RunConfig:
     sim: SimSection = field(default_factory=SimSection)
 
     @classmethod
-    def default(cls) -> "RunConfig":
-        return cls()
-
-    @classmethod
     def from_file(cls, path) -> "RunConfig":
         cfg = cls()._parsed(_read_ini(path))
         cfg.validate()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,7 +181,7 @@ def merged_totals(reached: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     reached[..., cell, k - 1] counts the merged maps that reach the cell at
     class >= k, as summed reach_levels; the totals run over the last two
-    axes. Every entry is a small integer, so float tables sum exactly.
+    axes.
     """
     level_1 = reached[..., 0]
     return (
@@ -189,6 +189,41 @@ def merged_totals(reached: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         np.count_nonzero(reached, axis=(-2, -1)),
         level_1.sum(axis=-1),
     )
+
+
+def level_columns(classes: np.ndarray) -> np.ndarray:
+    """reach_levels of (row, cell) classes as union_counts' table: every cell at level 1, then 2, ..."""
+    return (classes[:, None, :] >= _LEVELS[:, None]).reshape(len(classes), 5 * classes.shape[1])
+
+
+def union_counts(table: np.ndarray, edges: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch merge by bitwise unions: per-segment counts of reached columns.
+
+    table is a 0/1 (row, column) table, edges the column indices that split
+    its columns into consecutive segments. The returned function maps choice
+    bits picked[row, sample] to counts[segment, sample], the columns of the
+    segment that any chosen row of the sample reaches. A column counts once
+    however many chosen rows reach it, so over level_columns the level-1
+    segment holds merged_totals' covered cells and all segments together its
+    summed best class. Contributor counts are sums of the chosen rows'
+    level-1 sizes, which callers take directly.
+    """
+    # Non-zeros of the (column, row) transpose: column by column, the rows
+    # reaching each column that any row reaches.
+    columns, support = divmod(np.flatnonzero(table.T), len(table))
+    starts = np.flatnonzero(np.diff(columns, prepend=-1))
+    bounds = [0, *np.searchsorted(columns[starts], edges).tolist(), len(starts)]
+
+    def counts(picked: np.ndarray) -> np.ndarray:
+        n = picked.shape[1]
+        # Bit s of a row's uint64 words says whether sample s chose the row.
+        words = np.zeros((len(picked), -(-n // 64)), np.uint64)
+        words.view(np.uint8)[:, : -(-n // 8)] = np.packbits(picked, axis=1, bitorder="little")
+        unions = np.bitwise_or.reduceat(words.take(support, axis=0), starts, axis=0)
+        reached = np.unpackbits(unions.view(np.uint8), axis=1, count=n, bitorder="little")
+        return np.array([reached[a:b].sum(axis=0, dtype=np.int32) for a, b in zip(bounds, bounds[1:])])
+
+    return counts
 
 
 def _attributes(pool: CandidatePool, solutions: Sequence[CoverageSolution]) -> list[SolutionAttributes]:
@@ -211,14 +246,13 @@ def _attributes(pool: CandidatePool, solutions: Sequence[CoverageSolution]) -> l
 
     The table has one row per map: the toggleable entities in id order, then
     the second-hop maps, which every solution keeps. Its columns are the
-    reach_levels of the maker's own cells, then level 1 alone for every
-    other cell any pool map knows. The keep-mask times the table merges, per
-    solution, the kept maps; merged_totals of the own-cell part gives the
-    signal and saturation numerators and the own covered cells, and the
-    other cells' non-zero level-1 counts complete the coverage numerator.
-    The counts are integers far below 2**24, so the float32 product is
-    exact, and every numerator is an integer tally divided by one
-    denominator.
+    level_columns of the maker's own cells, then level 1 alone for every
+    other cell any pool map knows. union_counts of the solutions' keep bits
+    over the segments [own level 1 | own levels 2-5 | other cells] gives the
+    own covered cells, the own levels above 1 (the two sum to the signal
+    numerator) and the other covered cells; the kept rows' own-cell sizes
+    sum to the saturation numerator.
+    Every numerator is an integer tally divided by one denominator.
     Raises UndefinedAttributeError when the maker's own map is empty.
     """
     own_count = len(pool.maker_map.cells)
@@ -237,8 +271,7 @@ def _attributes(pool: CandidatePool, solutions: Sequence[CoverageSolution]) -> l
         np.repeat(np.arange(len(maps)), [len(m.cells) for m in maps]),
         np.fromiter(map(column.__getitem__, itertools.chain(*(m.cells for m in maps))), np.intp),
     ] = np.fromiter(itertools.chain(*(m.cells.values() for m in maps)), np.int8)
-    own_levels = reach_levels(strength[:, :own_count]).reshape(len(maps), 5 * own_count)
-    levels = np.concatenate([own_levels, strength[:, own_count:] > 0], axis=1)
+    table = np.concatenate([level_columns(strength[:, :own_count]), strength[:, own_count:] > 0], axis=1)
 
     row_of = dict(zip(ids, range(len(ids))))
     keep = np.zeros((len(solutions), len(maps)), dtype=bool)
@@ -247,14 +280,9 @@ def _attributes(pool: CandidatePool, solutions: Sequence[CoverageSolution]) -> l
         np.repeat(np.arange(len(solutions)), [len(s.active) for s in solutions]),
         np.fromiter(map(row_of.__getitem__, itertools.chain(*(s.active for s in solutions))), np.intp),
     ] = True
-    reached = (keep.astype(np.float32) @ levels.astype(np.float32)).astype(np.int32)
-
-    own_covered, sig_total, sat_total = merged_totals(
-        reached[:, : 5 * own_count].reshape(len(solutions), own_count, 5)
-    )
-    # The other cells are tabled at level 1 alone, so their covered count is
-    # all they contribute; merged_totals would also sum two unused totals.
-    other_covered = np.count_nonzero(reached[:, 5 * own_count :], axis=1)
+    own_covered, own_higher, other_covered = union_counts(table, (own_count, 5 * own_count))(keep.T)
+    sig_total = own_covered + own_higher
+    sat_total = (keep * np.count_nonzero(strength[:, :own_count], axis=1)).sum(axis=1)
     served = sat_total > 0
     signal = np.where(served, sig_total / own_count, 1.0)
     saturation = np.where(served, sat_total / own_count, 1.0)

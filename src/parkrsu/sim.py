@@ -26,8 +26,10 @@ from .decision import (
     RoleCommand,
     battery_indicator,
     decide,
+    level_columns,
     merged_totals,
     reach_levels,
+    union_counts,
 )
 from .errors import ConfigurationError
 from .grid import Cell
@@ -400,45 +402,6 @@ def _warmed_up_parked_cells(traffic: TrafficProcess, discard_s: float) -> list[C
     return [v.cell for v in parked if not should_depart(v, n - 1)]
 
 
-def _union_totals(levels: np.ndarray, car_at: np.ndarray):
-    """Per-sample merged_totals of random networks, from bitwise unions.
-
-    levels is the reach_levels table (distinct cell, usable cell, level) of
-    the cells the cars stand on, car_at each car's distinct cell. The
-    returned function maps a batch of samples (non-empty arrays of car
-    indices) to their covered cells, summed best class and summed
-    contributor count: a (level, cell) column counts once when any chosen
-    car reaches it, and each chosen car adds its footprint size.
-    """
-    n_distinct, n_cells, _ = levels.shape
-    # The distinct cells reaching each (level, cell) column, column by column;
-    # level-major, so the level-1 columns come first.
-    columns, support = np.nonzero(levels.transpose(2, 1, 0).reshape(5 * n_cells, n_distinct))
-    starts = np.flatnonzero(np.diff(columns, prepend=-1))
-    n_level1 = int(np.searchsorted(columns[starts], n_cells))
-    footprint_sizes = np.count_nonzero(levels[:, :, 0], axis=1)
-
-    def totals(chosen: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = len(chosen)
-        sizes = np.array([len(c) for c in chosen])
-        flat = car_at[np.concatenate(chosen)]
-        contributors = np.add.reduceat(footprint_sizes[flat], np.cumsum(sizes) - sizes)
-        # picked[d, s]: sample s chose a car on distinct cell d, packed along
-        # the samples into uint64 words, padded to whole words. The flat index
-        # is built in place: it holds every chosen car of the batch.
-        width = -(-n // 64) * 64
-        flat *= width
-        flat += np.repeat(np.arange(n), sizes)
-        picked = np.bincount(flat, minlength=n_distinct * width) > 0
-        words = np.packbits(picked.reshape(n_distinct, width), axis=1, bitorder="little").view(np.uint64)
-        unions = np.bitwise_or.reduceat(words[support], starts, axis=0)
-        reached = np.unpackbits(unions.view(np.uint8), axis=1, count=n, bitorder="little")
-        covered = reached[:n_level1].sum(axis=0, dtype=np.int32)
-        return covered, covered + reached[n_level1:].sum(axis=0, dtype=np.int32), contributors
-
-    return totals
-
-
 def random_assignment_bounds(
     config: RunConfig,
     num_samples: int,
@@ -471,11 +434,14 @@ def random_assignment_bounds(
         keep = rng.choice(len(fill_cells), size=config.sim.bounds_fill_count, replace=False)
         fill_cells = [fill_cells[int(i)] for i in sorted(keep)]
     n_cars = len(fill_cells)
-    # Cars parked on one cell share its footprint row, so the kernel works
+    # Cars parked on one cell share its footprint row, so the merge runs
     # over distinct cells.
     slot: dict[Cell, int] = {}
     car_at = np.array([slot.setdefault(cell, len(slot)) for cell in fill_cells], dtype=np.intp)
-    totals = _union_totals(reach_levels(np.array([cache.footprint(cell) for cell in slot])), car_at)
+    rows = np.array([cache.footprint(cell) for cell in slot])
+    n_distinct, n_cells = rows.shape
+    counts = union_counts(level_columns(rows), [n_cells])
+    footprint_sizes = np.count_nonzero(rows, axis=1)
 
     samples: list[tuple[float, float]] = []
     skipped = 0
@@ -483,8 +449,17 @@ def random_assignment_bounds(
     batch: list[np.ndarray] = []
 
     def flush() -> None:
-        n_cov, best_total, contributors = totals(batch)
-        samples.extend(zip((best_total / n_cov).tolist(), (contributors / n_cov).tolist()))
+        n = len(batch)
+        sizes = np.array([len(c) for c in batch])
+        flat = car_at[np.concatenate(batch)]
+        contributors = np.add.reduceat(footprint_sizes[flat], np.cumsum(sizes) - sizes)
+        # picked[d, s]: sample s chose a car on distinct cell d. The flat
+        # index is built in place: it holds every chosen car of the batch.
+        flat *= n
+        flat += np.repeat(np.arange(n), sizes)
+        picked = np.bincount(flat, minlength=n_distinct * n).reshape(n_distinct, n) > 0
+        covered, higher = counts(picked)
+        samples.extend(zip(((covered + higher) / covered).tolist(), (contributors / covered).tolist()))
         batch.clear()
 
     for _ in range(num_samples):

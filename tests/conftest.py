@@ -49,6 +49,6 @@ def make_map(owner: int, cells: dict) -> CoverageMap:
 @pytest.fixture
 def fast_config():
     # Small city and short horizon so full simulations stay sub-second.
-    return RunConfig.default().with_overrides(
+    return RunConfig().with_overrides(
         blocks_x=3, blocks_y=3, duration_s=420.0, discard_s=120.0, seed=5
     )

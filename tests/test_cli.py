@@ -236,6 +236,17 @@ class TestBounds:
         assert min(signals) < 2.5
         assert max(signals) > 4.5
 
+    @pytest.mark.parametrize("cap,cars", [(6, 6), (4000, 49)], ids=["capped", "whole-population"])
+    def test_manifest_counts_the_fill_cars(self, tmp_path, cap, cars):
+        # The cap stays under "config"; the manifest counts the cars sampled,
+        # which on the toy city is the whole warmed-up population below 4000.
+        argv = ["bounds", *TOY, "--set", f"bounds_fill_count={cap}", "--samples", "50"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["bounds_fill_cars"] == cars
+        assert manifest["config"]["bounds_fill_count"] == str(cap)
+        assert "bounds_fill_count" not in manifest
+
     def test_negative_samples_exits_2(self, tmp_path, capsys):
         assert main(["bounds", *TOY, "--out", str(tmp_path), "--samples", "-5"]) == 2
         assert "--samples" in capsys.readouterr().err

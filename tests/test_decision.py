@@ -23,9 +23,11 @@ from parkrsu.decision import (
     compute_attributes,
     decide,
     enumerate_solutions,
+    level_columns,
     merged_totals,
     reach_levels,
     score,
+    union_counts,
 )
 from parkrsu.grid import Cell
 from parkrsu.maps import CoverageMap
@@ -381,6 +383,12 @@ def class_stacks(draw):
     return np.array(classes, dtype=np.int8).reshape(batch, n_maps, n_cells)
 
 
+def level_major(levels):
+    """A (row, cell, level) reach_levels table as union_counts' (row, level-major column) table."""
+    n_rows, n_cells, n_levels = levels.shape
+    return levels.transpose(0, 2, 1).reshape(n_rows, n_levels * n_cells)
+
+
 class TestMergeKernel:
     @settings(max_examples=200, deadline=None)
     @given(stack=class_stacks())
@@ -389,9 +397,6 @@ class TestMergeKernel:
         summed = reach_levels(stack).sum(axis=1)
         assert summed.shape == (batch, n_cells, 5)
         totals = merged_totals(summed)
-        # decision._attributes' encoding: 0/1 choices times a float32 level table.
-        table = reach_levels(stack).reshape(batch, n_maps, 5 * n_cells).astype(np.float32)
-        product = (np.ones((batch, 1, n_maps), np.float32) @ table).reshape(batch, n_cells, 5)
         for b in range(batch):
             rows = stack[b].tolist()
             best = [max((row[c] for row in rows), default=0) for c in range(n_cells)]
@@ -399,13 +404,70 @@ class TestMergeKernel:
             expected = (sum(x > 0 for x in best), sum(best), contributors)
             assert tuple(int(t[b]) for t in totals) == expected
             assert tuple(int(t) for t in merged_totals(summed[b])) == expected
-            assert tuple(int(t) for t in merged_totals(product[b])) == expected
+            # The batch merge over level-major columns, every map chosen.
+            table = level_columns(stack[b])
+            assert np.array_equal(table, level_major(reach_levels(stack[b])))
+            (covered,), (higher,) = union_counts(table, [n_cells])(np.ones((n_maps, 1), bool))
+            merged = (int(covered), int(covered + higher), int(table[:, :n_cells].sum()))
+            assert merged == expected
 
     def test_all_zero_merge(self):
         no_reach = reach_levels(np.zeros((4, 7), np.int8)).sum(axis=0)
         assert [int(t) for t in merged_totals(no_reach)] == [0, 0, 0]
         batched = merged_totals(np.zeros((2, 7, 5), np.float32))
         assert [t.tolist() for t in batched] == [[0, 0], [0, 0], [0.0, 0.0]]
+
+
+def choice_bits(n_rows, chosen):
+    """picked[row, sample]: sample s chose that row."""
+    picked = np.zeros((n_rows, len(chosen)), bool)
+    for s, rows in enumerate(chosen):
+        picked[rows, s] = True
+    return picked
+
+
+def random_choices(rng, n_rows, n_samples):
+    return [rng.choice(n_rows, size=int(rng.integers(1, n_rows + 1)), replace=False) for _ in range(n_samples)]
+
+
+class TestUnionCounts:
+    # Batches of every size and the bounds sampler's use of the kernel are
+    # checked in tests/test_sim.py::TestUnionTotals; these cases move the
+    # segment edges.
+    @pytest.mark.parametrize("n_samples", [1, 65])
+    def test_per_level_segments_with_empty_ones(self, n_samples):
+        # Edges at every level boundary, an empty segment in the middle and
+        # one at the end: each level segment counts the cells reached at that
+        # level, and together they are merged_totals' summed best class.
+        rng = np.random.default_rng([n_samples, 5])
+        n_rows, n_cells = 12, 40
+        levels = reach_levels(rng.integers(0, 6, (n_rows, n_cells)).astype(np.int8))
+        chosen = random_choices(rng, n_rows, n_samples)
+        edges = [n_cells, 2 * n_cells, 2 * n_cells, 3 * n_cells, 4 * n_cells, 5 * n_cells]
+        counts = union_counts(level_major(levels), edges)(choice_bits(n_rows, chosen))
+        assert counts.shape == (7, n_samples)
+        assert counts[2].tolist() == counts[6].tolist() == [0] * n_samples
+        summed = np.stack([levels[c].sum(axis=0) for c in chosen])
+        covered, best_total, _ = merged_totals(summed)
+        assert counts[0].tolist() == covered.tolist()
+        assert counts.sum(axis=0).tolist() == best_total.tolist()
+        for k, level in enumerate(counts[[0, 1, 3, 4, 5]]):
+            assert level.tolist() == np.count_nonzero(summed[:, :, k], axis=1).tolist()
+
+    def test_segment_no_row_reaches(self):
+        # Classes up to 3 only: no row reaches levels 4-5, so that segment
+        # counts 0, and levels 1 and 2-3 still give merged_totals' figures.
+        rng = np.random.default_rng(6)
+        n_rows, n_cells = 9, 25
+        levels = reach_levels(rng.integers(0, 4, (n_rows, n_cells)).astype(np.int8))
+        chosen = random_choices(rng, n_rows, 70)
+        covered, higher, unreached = union_counts(level_major(levels), [n_cells, 3 * n_cells])(
+            choice_bits(n_rows, chosen)
+        )
+        want_covered, want_best, _ = merged_totals(np.stack([levels[c].sum(axis=0) for c in chosen]))
+        assert unreached.tolist() == [0] * len(chosen)
+        assert covered.tolist() == want_covered.tolist()
+        assert (covered + higher).tolist() == want_best.tolist()
 
 
 def random_pool(rng):

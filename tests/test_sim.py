@@ -14,7 +14,7 @@ import pytest
 import parkrsu.config
 import parkrsu.sim
 from parkrsu.config import RunConfig, build_grid, build_propagation
-from parkrsu.decision import battery_indicator, merged_totals, reach_levels
+from parkrsu.decision import battery_indicator, merged_totals, reach_levels, union_counts
 from parkrsu.errors import ConfigurationError
 from parkrsu.grid import Cell, CityGrid, build_manhattan_city, save_city
 from parkrsu.radio import FootprintCache, strength
@@ -37,7 +37,6 @@ from parkrsu.sim import (
     RsuLifetimeRecord,
     Simulation,
     StatPair,
-    _union_totals,
     _warmed_up_parked_cells,
     pooled_stats,
     random_assignment_bounds,
@@ -730,6 +729,18 @@ def summed_level_totals(levels, car_at, chosen):
     return merged_totals(reached.reshape(len(chosen), *levels.shape[1:]))
 
 
+def union_totals(levels, car_at, chosen):
+    """The bounds sampler's totals from union_counts: segments [level 1 | levels 2-5], contributors summed."""
+    n_distinct, n_cells, _ = levels.shape
+    picked = np.zeros((n_distinct, len(chosen)), bool)
+    for s, cars in enumerate(chosen):
+        picked[car_at[cars], s] = True
+    table = levels.transpose(0, 2, 1).reshape(n_distinct, 5 * n_cells)
+    covered, higher = union_counts(table, [n_cells])(picked)
+    sizes = np.count_nonzero(levels[:, :, 0], axis=1)
+    return covered, covered + higher, np.array([sizes[car_at[c]].sum() for c in chosen])
+
+
 class TestUnionTotals:
     @pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 1024])
     @pytest.mark.parametrize("density", [0.02, 0.3])
@@ -742,7 +753,7 @@ class TestUnionTotals:
         car_at = rng.integers(0, n_distinct, n_cars)
         chosen = [rng.choice(n_cars, size=int(rng.integers(1, n_cars + 1)), replace=False) for _ in range(n_samples)]
         chosen[-1] = rng.permutation(n_cars)  # a sample that picks every car
-        got = _union_totals(levels, car_at)(chosen)
+        got = union_totals(levels, car_at, chosen)
         want = summed_level_totals(levels, car_at, chosen)
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
@@ -751,7 +762,7 @@ class TestUnionTotals:
         levels = reach_levels(rng.integers(0, 6, (1, 30)).astype(np.int8))
         car_at = np.zeros(1, dtype=np.intp)
         chosen = [np.zeros(1, dtype=np.intp)] * 3
-        got = _union_totals(levels, car_at)(chosen)
+        got = union_totals(levels, car_at, chosen)
         want = summed_level_totals(levels, car_at, chosen)
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
         assert got[2].tolist() == [np.count_nonzero(levels[0, :, 0])] * 3
